@@ -128,10 +128,10 @@ def compile_plan(
 
     Returns ``(compiled, wall_seconds)`` where ``wall_seconds`` is the
     time spent compiling/loading kernels *in this call* (0.0 when the
-    process-wide kernel library was already warm) — the caller charges
-    it as the plan's ``jit.compile`` span.  Raises ``ValueError`` for
-    the numpy backend or unsupported geometry (resolution and shape
-    checks belong to the caller).
+    process-wide kernel library of this precision was already warm) — the
+    caller charges it as the plan's ``jit.compile`` span.  Raises
+    ``ValueError`` for the numpy backend or unsupported geometry
+    (resolution and shape checks belong to the caller).
     """
     if backend not in ("numba", "cjit"):
         raise ValueError(f"backend {backend!r} has no compiled executor")
@@ -143,10 +143,8 @@ def compile_plan(
     else:
         from repro.jit import cc
 
-        kernels, needs_scratch = None, False
-        lib = cc.load_library()
         rdt = "float32" if precision == "single" else "float64"
-        kernels = lib.kernels(rdt)
+        kernels, needs_scratch = cc.load_library(rdt).kernels, False
     compiled = CompiledFiveStep(
         shape,
         precision,

@@ -11,13 +11,29 @@ into a loadable shared library:
    probe library computes both candidate forms and the emitter is told
    which one NumPy actually used, so the main kernels reproduce the
    reference bit-for-bit where the hardware allows (DESIGN.md §18).
-2. **Compile** once per distinct source text: the library lands in a
-   content-addressed on-disk cache (``$REPRO_JIT_CACHE`` or a per-user
-   tmp directory), so later processes just ``dlopen`` — warm-up cost is
-   paid once per machine, not once per process.
+2. **Compile** one library per precision, once per distinct source
+   text: the float and double kernels are separate units, so a
+   single-precision process never pays for the double build.  Each
+   library lands in a content-addressed on-disk cache
+   (``$REPRO_JIT_CACHE`` or a per-user tmp directory), so later
+   processes just ``dlopen`` — warm-up cost is paid once per machine,
+   not once per process.
 3. **Bind** via :mod:`ctypes` with ``ndpointer`` signatures.  ``ctypes``
    releases the GIL for the duration of every call, which is what gives
    ``FFTServer(n_workers>1)`` real parallel compute on the compiled path.
+
+Compile flags come in two lists.  :data:`REQUIRED_FLAGS` are part of
+the numerical contract: ``-ffp-contract=off`` keeps every multiply-add
+exactly as emitted (fused only where the source says ``fma``), and
+``-fopenmp-simd`` honours the ``#pragma omp simd`` the emitter puts on
+the multirow kernels' innermost loop (X in pattern A, the row index in
+pattern B).  Vectorized lanes stay bit-identical to scalar code: each
+lane performs the same IEEE operations in the same order, the pragma
+sits only on loops whose ``restrict`` input and output make iterations
+independent, and there are no reductions to reassociate.  The in-place
+step-5 line transform carries no pragma.  :data:`TUNING_FLAGS` only
+pick the host's widest vector unit; a toolchain that rejects them gets
+a retry with the required list alone.
 
 Everything here degrades to ``None``/``False`` rather than raising when
 no compiler exists; the registry then resolves plans back to NumPy.
@@ -38,13 +54,29 @@ import numpy as np
 
 from repro.jit import emit
 
-__all__ = ["available", "cache_dir", "cmul_modes", "load_library", "CJitLibrary"]
+__all__ = [
+    "REQUIRED_FLAGS",
+    "TUNING_FLAGS",
+    "available",
+    "cache_dir",
+    "cmul_modes",
+    "load_library",
+    "last_compile_seconds",
+    "CJitLibrary",
+]
+
+#: Flags every build needs: bit identity depends on ``-ffp-contract=off``,
+#: vectorization of the multirow kernels on ``-fopenmp-simd``.
+REQUIRED_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fopenmp-simd")
+
+#: Host tuning: best effort, dropped when the toolchain rejects them.
+TUNING_FLAGS = ("-march=native", "-mprefer-vector-width=512")
 
 _lock = threading.Lock()
 _compiler: list[str] | None | bool = False  # False = not probed yet
 _probe_lib: ctypes.CDLL | None | bool = False
 _modes: dict[str, str] | None = None
-_library: "CJitLibrary | None" = None
+_libraries: dict[str, "CJitLibrary"] = {}  # C scalar type -> library
 _compile_seconds: float = 0.0
 
 _PROBE_SRC = """\
@@ -112,18 +144,18 @@ def _build(source: str, tag: str) -> ctypes.CDLL:
         c_path = cdir / f"{tag}-{digest}.c"
         c_path.write_text(source)
         tmp = cdir / f"{tag}-{digest}.{os.getpid()}.so.tmp"
-        flags = ["-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno"]
         base = ["-fPIC", "-shared", str(c_path), "-o", str(tmp), "-lm"]
+        required = list(REQUIRED_FLAGS)
         result = subprocess.run(
-            compiler + flags + base, capture_output=True, text=True
+            compiler + required + list(TUNING_FLAGS) + base,
+            capture_output=True,
+            text=True,
         )
         if result.returncode != 0:
-            # -march=native is a best-effort vectorization hint; some
-            # toolchains (older cross compilers) reject it.
+            # Host tuning is best effort; some toolchains (other
+            # architectures, older cross compilers) reject it.
             result = subprocess.run(
-                compiler + flags[:1] + flags[2:] + base,
-                capture_output=True,
-                text=True,
+                compiler + required + base, capture_output=True, text=True
             )
         if result.returncode != 0:
             tmp.unlink(missing_ok=True)
@@ -195,76 +227,80 @@ def cmul_modes() -> dict[str, str]:
     return modes
 
 
+def _ctype(real_dtype) -> str:
+    return {"float32": "float", "float64": "double"}[np.dtype(real_dtype).name]
+
+
 class CJitLibrary:
-    """The bound kernel set: per-dtype multirow / step-5 entry points.
+    """The bound kernels of one precision.
 
-    Attributes are dicts keyed like the generated Python module's lookup
-    tables — ``multirow_a[radix]``, ``multirow_b[radix]``, ``step5[nx]``
-    — resolved per real dtype via :meth:`kernels`.
+    ``kernels`` holds dicts keyed like the generated Python module's
+    lookup tables — ``kernels["multirow_a"][radix]``,
+    ``kernels["multirow_b"][radix]``, ``kernels["step5"][nx]``.
     """
 
-    def __init__(self, lib: ctypes.CDLL):
+    def __init__(self, lib: ctypes.CDLL, real_dtype):
         self._lib = lib
-        self._kernels: dict[str, dict[str, dict[int, object]]] = {}
-        for suffix, rdt, scalar in (
-            ("f", np.float32, ctypes.c_float),
-            ("d", np.float64, ctypes.c_double),
-        ):
-            ptr = np.ctypeslib.ndpointer(rdt, flags="C_CONTIGUOUS")
-            mr_a: dict[int, object] = {}
-            mr_b: dict[int, object] = {}
-            s5: dict[int, object] = {}
-            for radix in emit.CODELET_RADICES:
-                fa = getattr(lib, f"mr_a_{radix}_{suffix}")
-                fa.argtypes = [ptr, ptr, ptr, ptr] + [ctypes.c_long] * 4 + [scalar]
-                fa.restype = None
-                mr_a[radix] = fa
-                fb = getattr(lib, f"mr_b_{radix}_{suffix}")
-                fb.argtypes = [ptr, ptr, ptr] + [ctypes.c_long] * 4 + [scalar]
-                fb.restype = None
-                mr_b[radix] = fb
-            for nx in emit.STEP5_SIZES:
-                fs = getattr(lib, f"s5_{nx}_{suffix}")
-                fs.argtypes = [ptr, ptr, ptr, ctypes.c_long, scalar]
-                fs.restype = None
-                s5[nx] = fs
-            self._kernels[suffix] = {
-                "multirow_a": mr_a,
-                "multirow_b": mr_b,
-                "step5": s5,
-            }
-
-    def kernels(self, real_dtype) -> dict[str, dict[int, object]]:
-        """The kernel tables for ``real_dtype`` (float32/float64)."""
-        suffix = "f" if np.dtype(real_dtype) == np.float32 else "d"
-        return self._kernels[suffix]
+        ctype = _ctype(real_dtype)
+        suffix = ctype[0]
+        ptr = np.ctypeslib.ndpointer(real_dtype, flags="C_CONTIGUOUS")
+        scalar = ctypes.c_float if ctype == "float" else ctypes.c_double
+        mr_a: dict[int, object] = {}
+        mr_b: dict[int, object] = {}
+        s5: dict[int, object] = {}
+        for radix in emit.CODELET_RADICES:
+            fa = getattr(lib, f"mr_a_{radix}_{suffix}")
+            fa.argtypes = [ptr, ptr, ptr, ptr] + [ctypes.c_long] * 4 + [scalar]
+            fa.restype = None
+            mr_a[radix] = fa
+            fb = getattr(lib, f"mr_b_{radix}_{suffix}")
+            fb.argtypes = [ptr, ptr, ptr] + [ctypes.c_long] * 4 + [scalar]
+            fb.restype = None
+            mr_b[radix] = fb
+        for nx in emit.STEP5_SIZES:
+            fs = getattr(lib, f"s5_{nx}_{suffix}")
+            fs.argtypes = [ptr, ptr, ptr, ctypes.c_long, scalar]
+            fs.restype = None
+            s5[nx] = fs
+        self.kernels: dict[str, dict[int, object]] = {
+            "multirow_a": mr_a,
+            "multirow_b": mr_b,
+            "step5": s5,
+        }
 
 
-def load_library() -> CJitLibrary:
-    """The process-wide compiled kernel library (built on first use).
+def load_library(real_dtype) -> CJitLibrary:
+    """The process-wide kernel library for ``real_dtype`` (float32/float64).
 
-    Raises ``RuntimeError`` when no toolchain is available — callers are
-    expected to have consulted :func:`available` at backend resolution.
+    Each precision is built on its first use and cached for the life of
+    the process.  Raises ``RuntimeError`` when no toolchain is available
+    — callers are expected to have consulted :func:`available` at
+    backend resolution.
     """
-    global _library, _compile_seconds
+    global _compile_seconds
+    ctype = _ctype(real_dtype)
     with _lock:
-        if _library is not None:
-            return _library
+        if ctype in _libraries:
+            return _libraries[ctype]
     import time
 
     t0 = time.perf_counter()
-    modes = cmul_modes()
-    lib = _build(emit.c_module(modes["float"], modes["double"]), "kernels")
-    built = CJitLibrary(lib)
+    source = emit.c_module(ctype, cmul_modes()[ctype])
+    built = CJitLibrary(_build(source, f"kernels-{ctype}"), real_dtype)
     wall = time.perf_counter() - t0
     with _lock:
-        if _library is None:
-            _library = built
-            _compile_seconds = wall
-    return _library
+        if ctype not in _libraries:
+            _libraries[ctype] = built
+            _compile_seconds += wall
+        return _libraries[ctype]
 
 
 def last_compile_seconds() -> float:
-    """Wall seconds :func:`load_library` spent building (0 before/cached)."""
+    """Total wall seconds :func:`load_library` spent building in this process.
+
+    The sum over every precision built so far (0.0 before the first
+    build); a library found in the on-disk cache adds only its load
+    time.
+    """
     with _lock:
         return _compile_seconds

@@ -23,6 +23,11 @@ compiler sees straight-line butterflies with no dispatch in the hot loop:
     decomposed ``nx = r1 * r2`` exactly as ``four_step_fft`` does (or the
     direct 16-point codelet when ``nx == 16``).
 
+In C, the innermost loop of each multirow kernel carries ``#pragma omp
+simd``: consecutive X elements (pattern A) or rows (pattern B) become
+vector lanes, as consecutive CUDA threads do in the paper.  Why the lanes
+stay bit-identical is told in :mod:`repro.jit.cc`.
+
 All twiddle constants are *runtime arguments* (float-viewed tables from
 the shared :data:`~repro.fft.twiddle.DEFAULT_CACHE`), never baked
 literals, so one emitted function serves both precisions (Python) or is
@@ -121,8 +126,17 @@ class _Fn:
         return name
 
     @contextmanager
-    def loop(self, var: str, bound):
+    def loop(self, var: str, bound, simd: bool = False):
+        """A counted loop; ``simd`` marks it ``#pragma omp simd`` in C.
+
+        Only loops whose iterations are independent may be marked: every
+        read from a ``restrict`` input, every write to a distinct slot of
+        a ``restrict`` output, no carried dependence and no reduction.
+        The Python target ignores the flag.
+        """
         if self.lang == "c":
+            if simd:
+                self.emit("#pragma omp simd")
             self.emit(f"for (long {var} = 0; {var} < {bound}; {var}++) {{")
         else:
             self.emit(f"for {var} in range({bound}):")
@@ -233,7 +247,10 @@ def _emit_multirow(radix, pattern, lang, ctype="float", cmul="naive"):
         fn.let("d3nx", "d3 * nx")
     with fn.loop("i1", "d1"):
         with fn.loop(*outer):
-            with fn.loop(*inner):
+            # The innermost loop walks consecutive X elements (pattern A)
+            # or consecutive rows of the digit block (pattern B): the
+            # paper's one-thread-per-element stream, one vector lane each.
+            with fn.loop(*inner, simd=True):
                 if pattern == "a":
                     fn.let("idx", "q * nx + ix")
                 else:
@@ -409,30 +426,32 @@ def _emit_step5(nx, lang, ctype="float", cmul="naive"):
 
 
 _C_PRELUDE = """\
-/* Auto-generated by repro.jit.emit -- the compiled five-step hot path.
- * One function per radix/size; all twiddle tables are runtime arguments
- * taken from the same cache as the NumPy reference.  Complex multiplies
- * use {cmul_f}/{cmul_d} semantics (probed against this NumPy build).
- * Compile with -ffp-contract=off: contraction is explicit where wanted.
+/* Auto-generated by repro.jit.emit -- the compiled five-step hot path,
+ * {ctype} kernels.  One function per radix/size; all twiddle tables are
+ * runtime arguments taken from the same cache as the NumPy reference.
+ * Complex multiplies use {cmul} semantics (probed against this NumPy
+ * build).  Compile with -ffp-contract=off -fopenmp-simd: contraction is
+ * explicit where wanted, and the multirow inner loops are vectorized.
  */
 #include <math.h>
 """
 
 
-def c_module(cmul_float: str = "fma", cmul_double: str = "fma") -> str:
-    """The complete C translation unit for the ``cjit`` backend.
+def c_module(ctype: str = "float", cmul: str = "fma") -> str:
+    """The C translation unit for one scalar type of the ``cjit`` backend.
 
-    ``cmul_float`` / ``cmul_double`` select the complex-multiply form per
-    scalar type (``"fma"`` or ``"naive"``), normally the output of the
-    runtime probe against the running NumPy build.
+    ``ctype`` is ``"float"`` or ``"double"``; each precision is its own
+    unit so a process compiles only the one its plans need.  ``cmul``
+    selects the complex-multiply form (``"fma"`` or ``"naive"``),
+    normally the output of the runtime probe against the running NumPy
+    build.
     """
-    parts = [_C_PRELUDE.format(cmul_f=cmul_float, cmul_d=cmul_double)]
-    for ctype, mode in (("float", cmul_float), ("double", cmul_double)):
-        for radix in CODELET_RADICES:
-            parts.append(_emit_multirow(radix, "a", "c", ctype, mode)[1])
-            parts.append(_emit_multirow(radix, "b", "c", ctype, mode)[1])
-        for nx in STEP5_SIZES:
-            parts.append(_emit_step5(nx, "c", ctype, mode)[1])
+    parts = [_C_PRELUDE.format(ctype=ctype, cmul=cmul)]
+    for radix in CODELET_RADICES:
+        parts.append(_emit_multirow(radix, "a", "c", ctype, cmul)[1])
+        parts.append(_emit_multirow(radix, "b", "c", ctype, cmul)[1])
+    for nx in STEP5_SIZES:
+        parts.append(_emit_step5(nx, "c", ctype, cmul)[1])
     return "\n\n".join(parts) + "\n"
 
 

@@ -93,24 +93,77 @@ class TestCleanFallback:
 @pytest.mark.skipif(not cc.available(), reason="no C compiler on PATH")
 class TestCjitLibrary:
     def test_library_is_a_process_singleton(self):
-        a = cc.load_library()
-        b = cc.load_library()
-        assert a is b
+        """One library per precision, shared by every later caller."""
+        for rdt in ("float32", "float64"):
+            assert cc.load_library(rdt) is cc.load_library(np.dtype(rdt))
+        assert cc.load_library("float32") is not cc.load_library("float64")
 
     def test_kernels_cover_every_radix_and_size(self):
         from repro.jit import emit
 
-        lib = cc.load_library()
         for rdt in ("float32", "float64"):
-            kernels = lib.kernels(rdt)
-            assert set(kernels["multirow_a"]) == set(emit.CODELET_RADICES)
-            assert set(kernels["multirow_b"]) == set(emit.CODELET_RADICES)
-            assert set(kernels["step5"]) == set(emit.STEP5_SIZES)
+            lib = cc.load_library(rdt)
+            assert set(lib.kernels["multirow_a"]) == set(emit.CODELET_RADICES)
+            assert set(lib.kernels["multirow_b"]) == set(emit.CODELET_RADICES)
+            assert set(lib.kernels["step5"]) == set(emit.STEP5_SIZES)
+
+    def test_single_precision_plan_never_builds_double(self, monkeypatch):
+        """A fresh process state: a single-precision plan compiles (or
+        loads from the disk cache) only the float unit."""
+        monkeypatch.setattr(cc, "_libraries", {})
+        monkeypatch.setattr(cc, "_compile_seconds", 0.0)
+        real_build = cc._build
+        tags = []
+
+        def spy(source, tag):
+            tags.append(tag)
+            return real_build(source, tag)
+
+        monkeypatch.setattr(cc, "_build", spy)
+        jit.compile_plan("cjit", (16, 16, 16), "single", 4, 4, 4, 4)
+        jit.compile_plan("cjit", (16, 16, 32), "single", 4, 4, 4, 4)
+        assert tags == ["kernels-float"]
+        assert set(cc._libraries) == {"float"}
+        first = cc.last_compile_seconds()
+        assert first > 0.0
+        jit.compile_plan("cjit", (16, 16, 16), "double", 4, 4, 4, 4)
+        assert tags == ["kernels-float", "kernels-double"]
+        # The total over every precision built in this process.
+        assert cc.last_compile_seconds() > first
 
     def test_cmul_modes_are_probed(self):
         modes = cc.cmul_modes()
         assert set(modes) == {"float", "double"}
         assert all(m in ("naive", "fma") for m in modes.values())
+
+    def test_rejected_tuning_flags_are_retried_without(
+        self, monkeypatch, tmp_path
+    ):
+        """A toolchain that rejects the host tuning still builds, and
+        the retry keeps every required flag (bit identity needs
+        ``-ffp-contract=off``)."""
+        import subprocess
+
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        real_run = subprocess.run
+        calls = []
+
+        def flaky(cmd, **kwargs):
+            calls.append(list(cmd))
+            if len(calls) == 1:
+                return subprocess.CompletedProcess(
+                    cmd, 1, "", "error: unrecognized command-line option"
+                )
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(cc.subprocess, "run", flaky)
+        lib = cc._build("int retry_probe(void) { return 7; }\n", "retry")
+        assert lib.retry_probe() == 7
+        assert len(calls) == 2
+        first, retry = calls
+        assert all(f in first for f in cc.REQUIRED_FLAGS + cc.TUNING_FLAGS)
+        assert retry == [f for f in first if f not in cc.TUNING_FLAGS]
+        assert "-ffp-contract=off" in retry
 
 
 class TestCompileObservability:

@@ -90,8 +90,27 @@ class TestPythonLoopsMatchReference:
         assert ulp_distance(out, ref) <= ULP_BOUND
 
 
+#: The cjit cases add cheap shapes reaching radix 8 and 16 and every
+#: step-5 size, in both precisions.  The multirow inner loop is
+#: vectorized: nx=16 runs it for a single vector of float lanes, the
+#: longer lines and pattern-B row blocks for many vectors.
+CJIT_CASES = CASES + [
+    (shape, precision)
+    for shape in [
+        (8, 4, 32),
+        (256, 4, 16),
+        (64, 64, 16),
+        (4, 4, 64),
+        (4, 4, 128),
+        (4, 4, 256),
+    ]
+    for precision in ("single", "double")
+    if (shape, precision) not in CASES
+]
+
+
 @pytest.mark.skipif(not cc.available(), reason="no C compiler on PATH")
-@pytest.mark.parametrize("shape,precision", CASES)
+@pytest.mark.parametrize("shape,precision", CJIT_CASES)
 class TestCjitMatchesReferenceBitwise:
     def test_forward_and_inverse(self, shape, precision):
         from repro import jit
