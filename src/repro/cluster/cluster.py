@@ -157,7 +157,7 @@ class FFTCluster:
         into independently seeded per-node children (each node splits its
         child again per worker); a sequence of exactly ``n_nodes``
         injectors scopes each node explicitly.
-    health / coalesce / max_depth / serial_dispatch / pooling / start:
+    health / coalesce / max_depth / serial_dispatch / start:
         Forwarded to every node's server.  ``start=False`` is the
         deterministic drive mode: the caller pumps :meth:`run_pending`.
     profiler:
@@ -182,7 +182,6 @@ class FFTCluster:
         coalesce: CoalescePolicy | None = None,
         max_depth: int = 256,
         serial_dispatch: bool = False,
-        pooling: bool = True,
         start: bool = True,
         profiler: Profiler | None = None,
         vnodes: int = 64,
@@ -221,7 +220,6 @@ class FFTCluster:
                 max_depth=max_depth,
                 n_workers=cards_per_node,
                 serial_dispatch=serial_dispatch,
-                pooling=pooling,
                 fault_injector=injectors[nid],
                 health=health,
                 profiler=None,

@@ -97,13 +97,6 @@ class GpuFFT3D:
         Optional stable plan id used to prefix device buffer names and
         trace annotations; defaults to a process-unique ``fft3dN``.
         Callers sharing one simulator must keep names unique.
-    pooling:
-        Route host execution through a per-plan
-        :class:`~repro.core.workspace.Workspace` arena (default).  Every
-        transform intermediate is then a reused pooled buffer and the
-        twiddle multiplies fuse into the rearrangement writes — zero
-        steady-state heap allocations in the transform loop.  Results are
-        bit-identical to ``pooling=False`` (the seed path).
     raise_on_device_loss:
         When True, a device loss that exhausts the reset budget
         re-raises :class:`~repro.gpu.faults.DeviceLostError` instead of
@@ -113,11 +106,15 @@ class GpuFFT3D:
         transform.
     backend:
         Hot-path implementation: ``"numpy"`` (default, the reference),
-        ``"numba"``, ``"cjit"`` or ``"auto"`` (see :mod:`repro.jit`).
-        Compiled backends degrade cleanly to NumPy when unavailable or
-        when the plan geometry has no emitted kernels; results are
-        bit-identical (cjit on FMA hardware) or within a documented
-        ulp bound (DESIGN.md §18).
+        ``"cjit"`` or ``"auto"`` (see :mod:`repro.jit`).  cjit degrades
+        cleanly to NumPy without a C compiler or when the plan geometry
+        has no emitted kernels; its results are bit-identical on FMA
+        hardware (DESIGN.md §18).
+
+    Host execution runs through the plan's own
+    :class:`~repro.core.workspace.Workspace` arena (:attr:`workspace`):
+    every transform intermediate is a reused pooled buffer, so the
+    transform loop makes no steady-state heap allocations.
 
     Transforms larger than device memory transparently take the
     out-of-core path (Section 3.3), staged slab by slab through the
@@ -136,7 +133,6 @@ class GpuFFT3D:
         verify: bool | None = None,
         profiler: Profiler | None = None,
         name: str | None = None,
-        pooling: bool = True,
         raise_on_device_loss: bool = False,
         backend: str = "numpy",
     ):
@@ -182,12 +178,10 @@ class GpuFFT3D:
             if verify is None
             else verify
         )
-        self.workspace: Workspace | None = None
-        if pooling:
-            self.workspace = Workspace(
-                name=self._buf,
-                metrics=profiler.metrics if profiler is not None else None,
-            )
+        self.workspace = Workspace(
+            name=self._buf,
+            metrics=profiler.metrics if profiler is not None else None,
+        )
         self._ooc_estimate: OutOfCoreEstimate | None = None
 
     @property
@@ -242,13 +236,10 @@ class GpuFFT3D:
         ws = self.workspace
 
         def body() -> None:
-            if ws is None:
-                result["out"] = self._plan.execute(self._dev_v.data, inverse=inverse)
-            else:
-                buf = ws.acquire(self.shape, self._dev_v.data.dtype)
-                result["out"] = self._plan.execute(
-                    self._dev_v.data, inverse=inverse, workspace=ws, out=buf
-                )
+            buf = ws.acquire(self.shape, self._dev_v.data.dtype)
+            result["out"] = self._plan.execute(
+                self._dev_v.data, inverse=inverse, workspace=ws, out=buf
+            )
 
         try:
             # Launch the five kernels; the functional work happens on the
@@ -266,8 +257,7 @@ class GpuFFT3D:
                     )
             np.copyto(self._dev_v.data, result["out"])
         finally:
-            if ws is not None:
-                ws.release(result.get("out"))
+            ws.release(result.get("out"))
         out = np.empty_like(x)
         ex.d2h(self._dev_v, out, f"{self._buf}-d2h")
         return out

@@ -111,11 +111,10 @@ class BatchedGpuFFT3D:
         surviving cards; standalone callers keep the default in-engine
         recovery.
     backend:
-        Hot-path implementation (``"numpy"``/``"numba"``/``"cjit"``/
-        ``"auto"``), resolved exactly as in
-        :class:`~repro.core.api.GpuFFT3D` — compiled backends degrade
-        cleanly to NumPy and never change results beyond the documented
-        ulp bound (DESIGN.md §18).
+        Hot-path implementation (``"numpy"``/``"cjit"``/``"auto"``),
+        resolved exactly as in :class:`~repro.core.api.GpuFFT3D` — cjit
+        degrades cleanly to NumPy and never changes results beyond the
+        bound of DESIGN.md §18.
 
     The batched path is in-core only: grids larger than device memory
     take the out-of-core path via :class:`~repro.core.api.GpuFFT3D`.
@@ -134,7 +133,6 @@ class BatchedGpuFFT3D:
         n_streams: int = 3,
         profiler: Profiler | None = None,
         name: str | None = None,
-        pooling: bool = True,
         raise_on_device_loss: bool = False,
         backend: str = "numpy",
     ):
@@ -184,12 +182,10 @@ class BatchedGpuFFT3D:
         self.profiler = profiler
         if profiler is not None:
             profiler.attach(self.simulator)
-        self.workspace: Workspace | None = None
-        if pooling:
-            self.workspace = Workspace(
-                name=self._buf,
-                metrics=profiler.metrics if profiler is not None else None,
-            )
+        self.workspace = Workspace(
+            name=self._buf,
+            metrics=profiler.metrics if profiler is not None else None,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -328,38 +324,28 @@ class BatchedGpuFFT3D:
         dtype = np.complex64 if self.precision == "single" else np.complex128
         if not entries:
             return np.empty((0, *self.shape), dtype)
-        # Pooled path: downloads land directly in the stacked result, so
-        # the per-entry staging buffer and the np.stack copy both vanish.
-        # The block itself is the caller-owned return value — the one
-        # allocation the transform loop legitimately makes.
-        pooled = self.workspace is not None
-        final = np.empty((len(entries), *self.shape), dtype) if pooled else None
-        outs: list[np.ndarray] = []
+        # Downloads land directly in the stacked result: no per-entry
+        # staging buffer and no stacking copy.  The block itself is the
+        # caller-owned return value — the one allocation the transform
+        # loop legitimately makes.
+        final = np.empty((len(entries), *self.shape), dtype)
         with self.simulator.annotate(plan=self._buf), self.simulator.fault_scope(
             self._injector
         ):
             resets = 0
             dead = force_host  # device given up on: host path for the rest
             for i, x in enumerate(entries):
-                target = final[i] if pooled else None
+                target = final[i]
                 with self.simulator.annotate(entry=i):
                     while True:
                         if dead:
-                            outs.append(
-                                self._host_result(
-                                    x,
-                                    inverse,
-                                    "forced" if force_host else "device lost",
-                                    target,
-                                )
-                            )
+                            reason = "forced" if force_host else "device lost"
+                            self._host_result(x, inverse, reason, target)
                             break
                         try:
                             self._ensure_slots(len(entries))
                             slot = self._slots[i % len(self._slots)]
-                            outs.append(
-                                self._run_entry(i, x, slot, inverse, target)
-                            )
+                            self._run_entry(i, x, slot, inverse, target)
                             break
                         except DeviceLostError:
                             # Only entry i was in flight functionally;
@@ -376,33 +362,22 @@ class BatchedGpuFFT3D:
                         except FaultError as exc:
                             # Retries exhausted for this entry alone:
                             # degrade it, keep the pipeline for neighbours.
-                            outs.append(
-                                self._host_result(
-                                    x, inverse, type(exc).__name__, target
-                                )
+                            self._host_result(
+                                x, inverse, type(exc).__name__, target
                             )
                             break
             self.simulator.synchronize()
-        n = self.total_elements
-        if pooled:
-            for o in outs:
-                apply_norm(o, n, self.norm, inverse)
-            return final
-        return np.stack([apply_norm(o, n, self.norm, inverse) for o in outs])
+        return apply_norm(final, self.total_elements, self.norm, inverse)
 
     def _host_result(
         self,
         x: np.ndarray,
         inverse: bool,
         reason: str,
-        target: np.ndarray | None,
-    ) -> np.ndarray:
-        """Host-fallback entry, routed through ``target`` when pooled."""
-        out = self._host_entry(x, inverse, reason)
-        if target is None:
-            return out
-        np.copyto(target, out)
-        return target
+        target: np.ndarray,
+    ) -> None:
+        """Host-fallback entry, written into its slice ``target``."""
+        np.copyto(target, self._host_entry(x, inverse, reason))
 
     def _run_entry(
         self,
@@ -410,17 +385,16 @@ class BatchedGpuFFT3D:
         x: np.ndarray,
         slot: _Slot,
         inverse: bool,
-        target: np.ndarray | None = None,
-    ) -> np.ndarray:
+        target: np.ndarray,
+    ) -> None:
         label = f"{self._buf}-e{i}"
         corruption_retries = 0
         while True:
             try:
                 self._upload(x, slot, f"{label}-h2d")
                 self._compute(x, slot, inverse, label)
-                out = np.empty_like(x) if target is None else target
-                self._download(slot, out, f"{label}-d2h")
-                return out
+                self._download(slot, target, f"{label}-d2h")
+                return
             except CorruptionError:
                 corruption_retries += 1
                 if corruption_retries >= self.retry_policy.max_attempts:
@@ -524,15 +498,12 @@ class BatchedGpuFFT3D:
         ws = self.workspace
 
         def body() -> None:
-            if ws is None:
-                result["out"] = self._plan.execute(slot.v.data, inverse=inverse)
-            else:
-                # In place on the device buffer: the five-step chain only
-                # reads its input during step 1, so the spectrum can land
-                # where the signal was — no result staging at all.
-                result["out"] = self._plan.execute(
-                    slot.v.data, inverse=inverse, workspace=ws, out=slot.v.data
-                )
+            # In place on the device buffer: the five-step chain only
+            # reads its input during step 1, so the spectrum can land
+            # where the signal was — no result staging at all.
+            result["out"] = self._plan.execute(
+                slot.v.data, inverse=inverse, workspace=ws, out=slot.v.data
+            )
 
         # Five kernels on the slot's stream; the functional work rides the
         # last launch (one pass through the plan), the timing all five.
@@ -548,8 +519,6 @@ class BatchedGpuFFT3D:
                     f"batch entry {label!r} violated the energy invariant "
                     "(likely an ECC upset of a device buffer)"
                 )
-        if out is not slot.v.data:
-            np.copyto(slot.v.data, out)
 
     def _host_entry(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
         """Degrade one entry to the host transform, charged as host time."""

@@ -133,10 +133,10 @@ class FiveStepPlan:
         ``"single"`` (the paper's case) or ``"double"`` (the paper's
         stated future work; see DESIGN.md extensions).
     backend:
-        ``"numpy"`` (reference, default), ``"numba"``, ``"cjit"`` or
-        ``"auto"``.  Compiled backends degrade to ``"numpy"`` when the
-        toolchain is absent or the shape has no emitted kernels; the
-        concrete choice is :attr:`backend` (DESIGN.md §18).
+        ``"numpy"`` (reference, default), ``"cjit"`` or ``"auto"``.
+        cjit degrades to ``"numpy"`` when no C compiler is available or
+        the shape has no emitted kernels; the concrete choice is
+        :attr:`backend` (DESIGN.md §18).
     """
 
     def __init__(
@@ -318,8 +318,9 @@ class FiveStepPlan:
         pooled zero-allocation path: every intermediate comes from the
         arena and the twiddle multiplies are fused into the pattern-A/B
         rearrangement writes.  ``out`` (C-contiguous, plan shape/dtype)
-        receives the spectrum in place.  Values are identical to the seed
-        path either way.
+        receives the spectrum in place.  Values are bit-identical to the
+        unpooled reference path, which stays as the oracle the pooled and
+        compiled paths are tested against.
         """
         x = as_complex_array(x, self.precision)
         if x.shape != self.shape:

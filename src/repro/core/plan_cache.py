@@ -193,7 +193,7 @@ class PlanCache:
         recomputes neither.  ``backend`` is resolved *before* keying
         (:func:`~repro.core.five_step.resolve_plan_backend`), so
         ``"auto"`` shares the entry of its concrete resolution while a
-        numba-keyed plan can never collide with a numpy-keyed one.
+        cjit-keyed plan can never collide with a numpy-keyed one.
         """
         resolved = resolve_plan_backend(shape, backend)
         key = (_normalize(shape), precision, device.name, resolved)

@@ -1,24 +1,21 @@
 """JIT-compiled hot path: backend registry and compiled-plan factory.
 
 The five-step transform's NumPy implementation is the *reference oracle*
-— always present, always correct.  This package provides optional
-compiled backends for the same kernels, selected per plan:
+— always present, always correct.  This package provides the one
+compiled backend for the same kernels, selected per plan:
 
 ``"numpy"``
     The reference path (default everywhere; zero behavior change).
-``"numba"``
-    The generated loop kernels (:mod:`repro.jit.loops`) under
-    ``@njit(cache=True, nogil=True)``.  Requires the optional ``numba``
-    package (``pip install repro[jit]``).
 ``"cjit"``
-    The same kernels emitted as C, compiled at runtime by the system
-    toolchain and bound via ctypes (:mod:`repro.jit.cc`).  Requires a C
-    compiler on PATH; matches NumPy bit-for-bit on FMA hardware.
+    The kernels emitted as C (:mod:`repro.jit.emit`), compiled at
+    runtime by the system toolchain and bound via ctypes
+    (:mod:`repro.jit.cc`).  Requires a C compiler on PATH; matches NumPy
+    bit-for-bit on FMA hardware.
 ``"auto"``
-    The best available: numba, else cjit, else numpy.
+    cjit when a C compiler is available, else numpy.
 
-Resolution (:func:`resolve_backend`) never raises on a missing backend —
-an explicit ``backend="numba"`` on a numba-less machine degrades to
+Resolution (:func:`resolve_backend`) never raises on a missing compiler —
+an explicit ``backend="cjit"`` on a machine without one degrades to
 ``"numpy"`` — because serving configuration must be portable across
 heterogeneous fleets.  Shape support is a separate check
 (:func:`repro.jit.compiled.supports_shape`, applied by
@@ -51,7 +48,7 @@ __all__ = [
 ]
 
 #: Every selectable backend name (``"auto"`` resolves to one of these).
-BACKENDS = ("numpy", "numba", "cjit")
+BACKENDS = ("numpy", "cjit")
 
 _observers: list[Callable[[str, float], None]] = []
 _observer_lock = threading.Lock()
@@ -61,10 +58,6 @@ def backend_available(name: str) -> bool:
     """Availability of one concrete backend on this machine."""
     if name == "numpy":
         return True
-    if name == "numba":
-        from repro.jit import nb
-
-        return nb.available()
     if name == "cjit":
         from repro.jit import cc
 
@@ -74,15 +67,15 @@ def backend_available(name: str) -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """The concrete backends usable on this machine, preference order."""
-    return tuple(b for b in ("numba", "cjit", "numpy") if backend_available(b))
+    return tuple(b for b in ("cjit", "numpy") if backend_available(b))
 
 
 def resolve_backend(name: str) -> str:
     """Map a requested backend to the concrete one that will run.
 
-    ``"auto"`` picks the best available; an explicit compiled backend
-    that is not available degrades to ``"numpy"`` (clean fallback is the
-    contract — see the module docstring).
+    ``"auto"`` picks the best available; an explicit ``"cjit"`` without
+    a C compiler degrades to ``"numpy"`` (clean fallback is the contract
+    — see the module docstring).
     """
     if name == "auto":
         return available_backends()[0]
@@ -133,18 +126,12 @@ def compile_plan(
     ``ValueError`` for the numpy backend or unsupported geometry
     (resolution and shape checks belong to the caller).
     """
-    if backend not in ("numba", "cjit"):
+    if backend != "cjit":
         raise ValueError(f"backend {backend!r} has no compiled executor")
+    from repro.jit import cc
+
     t0 = time.perf_counter()
-    if backend == "numba":
-        from repro.jit import nb
-
-        kernels, needs_scratch = nb.kernels(), True
-    else:
-        from repro.jit import cc
-
-        rdt = "float32" if precision == "single" else "float64"
-        kernels, needs_scratch = cc.load_library(rdt).kernels, False
+    rdt = "float32" if precision == "single" else "float64"
     compiled = CompiledFiveStep(
         shape,
         precision,
@@ -152,11 +139,9 @@ def compile_plan(
         rz2,
         ry1,
         ry2,
-        kernels,
-        needs_scratch,
+        cc.load_library(rdt).kernels,
         twiddles=twiddles,
     )
-    compiled.warm()
     wall = time.perf_counter() - t0
     _notify_compile(backend, wall)
     return compiled, wall

@@ -1,10 +1,9 @@
 """Self-hosted C backend: runtime compilation, caching and binding.
 
-The ``numba`` package cannot be assumed present (the whole point of the
-backend registry is clean degradation), but a C toolchain usually can —
-every manylinux build box, CI runner and HPC login node ships one.  This
-module turns the emitted kernel source (:func:`repro.jit.emit.c_module`)
-into a loadable shared library:
+The compiled backend needs no package beyond NumPy, only a C toolchain
+— every manylinux build box, CI runner and HPC login node ships one.
+This module turns the emitted kernel source
+(:func:`repro.jit.emit.c_module`) into a loadable shared library:
 
 1. **Probe** the running NumPy's complex-multiply semantics.  NumPy's
    SIMD complex product contracts to FMA form on FMA hardware; a tiny
@@ -234,9 +233,9 @@ def _ctype(real_dtype) -> str:
 class CJitLibrary:
     """The bound kernels of one precision.
 
-    ``kernels`` holds dicts keyed like the generated Python module's
-    lookup tables — ``kernels["multirow_a"][radix]``,
-    ``kernels["multirow_b"][radix]``, ``kernels["step5"][nx]``.
+    ``kernels`` holds one dict per kernel family —
+    ``kernels["multirow_a"][radix]``, ``kernels["multirow_b"][radix]``,
+    ``kernels["step5"][nx]``.
     """
 
     def __init__(self, lib: ctypes.CDLL, real_dtype):

@@ -16,9 +16,10 @@ through the exact pipeline the reference executes:
 with one ping-pong work buffer: x -> work -> out -> work -> out -> out.
 ``out`` may alias ``x`` (the batched engine transforms device buffers in
 place): step 1 is the only reader of ``x`` and step 2 is the first
-writer of ``out``.  Instances are stateless between calls — all scratch
-is caller-provided or per-call — so one compiled plan is safely shared
-across server workers, exactly like the plan it accelerates.
+writer of ``out``.  Instances are stateless between calls — the work
+buffer is caller-provided and the step-5 accumulator a C stack local — so
+one compiled plan is safely shared across server workers, exactly like
+the plan it accelerates.
 
 Inverse transforms pass ``sgn=-1``: every load and store flips the
 imaginary sign, which together with the *forward* twiddle tables is
@@ -67,12 +68,7 @@ class CompiledFiveStep:
         :func:`repro.core.five_step.split_axis`).
     kernels:
         ``{"multirow_a": {radix: fn}, "multirow_b": ..., "step5": ...}``
-        — either the ctypes entry points of
-        :class:`repro.jit.cc.CJitLibrary` or (numba-jitted or plain)
-        functions from :mod:`repro.jit.loops`.
-    needs_scratch:
-        True for the Python/numba kernels, whose step-5 takes an
-        explicit accumulator line (the C kernels use a stack local).
+        — the ctypes entry points of :class:`repro.jit.cc.CJitLibrary`.
     twiddles:
         Table source; defaults to the process-wide cache.
     """
@@ -86,7 +82,6 @@ class CompiledFiveStep:
         ry1: int,
         ry2: int,
         kernels: dict,
-        needs_scratch: bool,
         twiddles: TwiddleCache | None = None,
     ):
         if not supports_shape(rz1, rz2, ry1, ry2, shape[2]):
@@ -97,11 +92,9 @@ class CompiledFiveStep:
         self._radices = (rz2, rz1, ry2, ry1)  # (a, b, c, d)
         self._nx = shape[2]
         cdt = np.dtype(np.complex64 if precision == "single" else np.complex128)
-        self._cdtype = cdt
         self._rdtype = np.dtype(np.float32 if precision == "single" else np.float64)
         rdt = self._rdtype
         self._kernels = kernels
-        self._needs_scratch = needs_scratch
         # Forward tables only — sgn handles the inverse (module docstring).
         self._wz = _fview(cache.four_step(rz1, rz2, precision), rdt)
         self._wy = _fview(cache.four_step(ry1, ry2, precision), rdt)
@@ -114,29 +107,6 @@ class CompiledFiveStep:
             np.concatenate([cache.codelet8(cdt), cache.half(16, cdt)]), rdt
         )
         self._sgn = {False: rdt.type(1.0), True: rdt.type(-1.0)}
-
-    def warm(self) -> None:
-        """Force kernel specialization with minimal dummy calls.
-
-        Numba compiles per dtype signature on first call; warming here
-        moves that cost into the plan's observable ``jit.compile`` span
-        instead of its first transform.  Cheap no-op for ctypes kernels.
-        """
-        rdt = self._rdtype
-        one = rdt.type(1.0)
-        ctab = self._ctab
-        for r in sorted(set(self._radices)):
-            buf = np.zeros(2 * r * 16, rdt)
-            out = np.zeros(2 * r * 16, rdt)
-            w = np.zeros(2 * r, rdt)
-            self._kernels["multirow_a"][r](buf, out, w, ctab, 1, 1, 1, 16, one)
-            self._kernels["multirow_b"][r](buf, out, ctab, 1, 1, 1, 16, one)
-        line = np.zeros(2 * self._nx, rdt)
-        s5 = self._kernels["step5"][self._nx]
-        if self._needs_scratch:
-            s5(line, self._w5, ctab, np.empty(2 * self._nx, rdt), 1, one)
-        else:
-            s5(line, self._w5, ctab, 1, one)
 
     def run(
         self,
@@ -165,8 +135,4 @@ class CompiledFiveStep:
         mr_b[b](wf, of, self._ctab, c, d, a, nx, sgn)
         mr_a[c](of, wf, self._wy, self._ctab, d, b, a, nx, sgn)
         mr_b[d](wf, of, self._ctab, b, a, c, nx, sgn)
-        if self._needs_scratch:
-            acc = np.empty(2 * nx, rdt)
-            s5(of, self._w5, self._ctab, acc, a * b * c * d, sgn)
-        else:
-            s5(of, self._w5, self._ctab, a * b * c * d, sgn)
+        s5(of, self._w5, self._ctab, a * b * c * d, sgn)

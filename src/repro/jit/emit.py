@@ -1,12 +1,11 @@
-"""Codelet/kernel source emitter shared by every compiled backend.
+"""C source emitter for the ``cjit`` compiled backend.
 
 The compiled hot path must agree with the NumPy reference *bitwise*
-wherever that is achievable, so instead of hand-writing kernels twice
-(once in C for the self-hosted ``cjit`` backend, once in Python for the
-``numba`` backend) this module emits both from one description: the exact
-butterfly DAG the :mod:`repro.fft.codelets` recursion performs, the exact
-pattern-A/B index algebra of :mod:`repro.core.kernels`, and the exact
-four-step decomposition of :func:`repro.fft.cooley_tukey.four_step_fft`.
+wherever that is achievable, so instead of hand-writing kernels this
+module emits them from one description: the exact butterfly DAG the
+:mod:`repro.fft.codelets` recursion performs, the exact pattern-A/B
+index algebra of :mod:`repro.core.kernels`, and the exact four-step
+decomposition of :func:`repro.fft.cooley_tukey.four_step_fft`.
 
 Three kernel families are emitted, one function per radix/size so the
 compiler sees straight-line butterflies with no dispatch in the hot loop:
@@ -30,9 +29,8 @@ stay bit-identical is told in :mod:`repro.jit.cc`.
 
 All twiddle constants are *runtime arguments* (float-viewed tables from
 the shared :data:`~repro.fft.twiddle.DEFAULT_CACHE`), never baked
-literals, so one emitted function serves both precisions (Python) or is
-emitted once per C scalar type, and the compiled path consumes the very
-same table values as the reference.
+literals: each function is emitted once per C scalar type, and the
+compiled path consumes the very same table values as the reference.
 
 Inverse transforms reuse the forward tables: the NumPy reference computes
 an inverse as ``conj(F(conj(x)))`` with conjugated step twiddles, and
@@ -41,12 +39,12 @@ and fused multiply-adds — so the emitted kernels take a ``sgn`` scalar
 (±1) applied to every imaginary load and store, which is bit-equivalent
 to the reference's conjugate sandwich.
 
-Complex-multiply semantics are selectable per emission: NumPy's SIMD
-complex product on FMA hardware contracts to ``fma(ar, br, -(ai*bi))`` /
-``fma(ar, bi, ai*br)``; the C emitter can reproduce that (``cmul="fma"``)
-for bit identity, or use the naive form (``cmul="naive"``) matching the
-numba path, which is then only ulp-bounded against the reference (see
-DESIGN.md §18 for the policy).
+Complex-multiply semantics are selected per emission by the runtime
+probe (:func:`repro.jit.cc.cmul_modes`): NumPy's SIMD complex product on
+FMA hardware contracts to ``fma(ar, br, -(ai*bi))`` /
+``fma(ar, bi, ai*br)``, which ``cmul="fma"`` reproduces for bit
+identity; hosts without FMA get the naive form (``cmul="naive"``),
+ulp-bounded against the reference (DESIGN.md §18).
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ __all__ = [
     "CTAB_LEN",
     "step5_split",
     "c_module",
-    "python_module",
 ]
 
 #: Codelet radices with emitted straight-line butterflies (the axis-split
@@ -99,12 +96,9 @@ def step5_split(nx: int) -> tuple[int, int]:
 class _Fn:
     """One emitted function: line buffer, temporaries, loop nesting."""
 
-    def __init__(self, lang: str, ctype: str = "float", cmul: str = "naive"):
-        if lang not in ("c", "py"):
-            raise ValueError(f"unknown emission language {lang!r}")
+    def __init__(self, ctype: str = "float", cmul: str = "naive"):
         if cmul not in ("naive", "fma"):
             raise ValueError(f"unknown cmul mode {cmul!r}")
-        self.lang = lang
         self.ctype = ctype
         self.cmul_mode = cmul
         self.lines: list[str] = []
@@ -119,54 +113,40 @@ class _Fn:
     def tmp(self, expr: str) -> str:
         name = f"t{self._n}"
         self._n += 1
-        if self.lang == "c":
-            self.emit(f"const {self.ctype} {name} = {expr};")
-        else:
-            self.emit(f"{name} = {expr}")
+        self.emit(f"const {self.ctype} {name} = {expr};")
         return name
 
     @contextmanager
     def loop(self, var: str, bound, simd: bool = False):
-        """A counted loop; ``simd`` marks it ``#pragma omp simd`` in C.
+        """A counted loop; ``simd`` marks it ``#pragma omp simd``.
 
         Only loops whose iterations are independent may be marked: every
         read from a ``restrict`` input, every write to a distinct slot of
         a ``restrict`` output, no carried dependence and no reduction.
-        The Python target ignores the flag.
         """
-        if self.lang == "c":
-            if simd:
-                self.emit("#pragma omp simd")
-            self.emit(f"for (long {var} = 0; {var} < {bound}; {var}++) {{")
-        else:
-            self.emit(f"for {var} in range({bound}):")
+        if simd:
+            self.emit("#pragma omp simd")
+        self.emit(f"for (long {var} = 0; {var} < {bound}; {var}++) {{")
         self.depth += 1
         try:
             yield
         finally:
             self.depth -= 1
-            if self.lang == "c":
-                self.emit("}")
+            self.emit("}")
 
     def let(self, name: str, expr: str) -> str:
-        """Bind an index expression to a (long in C) local."""
-        if self.lang == "c":
-            self.emit(f"const long {name} = {expr};")
-        else:
-            self.emit(f"{name} = {expr}")
+        """Bind an index expression to a ``long`` local."""
+        self.emit(f"const long {name} = {expr};")
         return name
 
     def store(self, target: str, expr: str) -> None:
-        if self.lang == "c":
-            self.emit(f"{target} = {expr};")
-        else:
-            self.emit(f"{target} = {expr}")
+        self.emit(f"{target} = {expr};")
 
     # -- arithmetic -----------------------------------------------------
 
     def cmul(self, ar: str, ai: str, br: str, bi: str) -> tuple[str, str]:
         """``(ar + i*ai) * (br + i*bi)`` with the selected semantics."""
-        if self.lang == "c" and self.cmul_mode == "fma":
+        if self.cmul_mode == "fma":
             f = "fmaf" if self.ctype == "float" else "fma"
             rr = self.tmp(f"{f}({ar}, {br}, -({ai} * {bi}))")
             ri = self.tmp(f"{f}({ar}, {bi}, {ai} * {br})")
@@ -227,16 +207,9 @@ class _Fn:
         return out  # type: ignore[return-value]
 
 
-def _signature(lang, name, ctype, args):
-    if lang == "c":
-        return f"void {name}({', '.join(args)}) {{"
-    return f"def {name}({', '.join(args)}):"
-
-
-def _emit_multirow(radix, pattern, lang, ctype="float", cmul="naive"):
+def _emit_multirow(radix, pattern, ctype="float", cmul="naive"):
     """Source text of one pattern-A or pattern-B multirow kernel."""
-    fn = _Fn(lang, ctype, cmul)
-    inp = "in" if lang == "c" else "inp"
+    fn = _Fn(ctype, cmul)
     fn.let("d23", "d2 * d3")
     fn.let("m", "d23 * nx")
     if pattern == "a":
@@ -257,11 +230,8 @@ def _emit_multirow(radix, pattern, lang, ctype="float", cmul="naive"):
                     fn.let("idx", "q2 * d3nx + r")
                 xs = []
                 for j in range(radix):
-                    base = f"2 * (({j} * d1 + i1) * m + idx)"
-                    b = fn.let(f"b{j}", base)
-                    xs.append(
-                        (fn.tmp(f"{inp}[{b}]"), fn.tmp(f"sgn * {inp}[{b} + 1]"))
-                    )
+                    b = fn.let(f"b{j}", f"2 * (({j} * d1 + i1) * m + idx)")
+                    xs.append((fn.tmp(f"in[{b}]"), fn.tmp(f"sgn * in[{b} + 1]")))
                 outs = fn.fft(xs)
                 for k, (orr, oi) in enumerate(outs):
                     if pattern == "a":
@@ -280,99 +250,53 @@ def _emit_multirow(radix, pattern, lang, ctype="float", cmul="naive"):
                         )
                         fn.store(f"out[{o}]", orr)
                         fn.store(f"out[{o} + 1]", f"sgn * {oi}")
-    name = f"mr_{pattern}_{radix}"
-    if lang == "c":
-        name += "_f" if ctype == "float" else "_d"
-        args = [f"const {ctype}* restrict in", f"{ctype}* restrict out"]
-        if pattern == "a":
-            args.append(f"const {ctype}* restrict w")
-        args += [
-            f"const {ctype}* restrict ctab",
-            "long d1",
-            "long d2",
-            "long d3",
-            "long nx",
-            f"{ctype} sgn",
-        ]
-        head = [_signature("c", name, ctype, args)]
-        if pattern == "b":
-            head.append("    (void) ctab;" if radix < 8 else "")
-        tail = ["}"]
-    else:
-        args = ["inp", "out"] + (["w"] if pattern == "a" else []) + [
-            "ctab",
-            "d1",
-            "d2",
-            "d3",
-            "nx",
-            "sgn",
-        ]
-        half = "first" if pattern == "a" else "second"
-        head = [
-            _signature("py", name, ctype, args),
-            f'    """Pattern-{pattern.upper()} radix-{radix} multirow kernel '
-            f'({half} axis half)."""',
-        ]
-        tail = []
-    # Radix 2/4 never touch ctab; silence the unused parameter in C.
-    if lang == "c" and pattern == "a" and radix < 8:
+    name = f"mr_{pattern}_{radix}_{ctype[0]}"
+    args = [f"const {ctype}* restrict in", f"{ctype}* restrict out"]
+    if pattern == "a":
+        args.append(f"const {ctype}* restrict w")
+    args += [
+        f"const {ctype}* restrict ctab",
+        "long d1",
+        "long d2",
+        "long d3",
+        "long nx",
+        f"{ctype} sgn",
+    ]
+    head = [f"void {name}({', '.join(args)}) {{"]
+    # Radix 2/4 never touch ctab; silence the unused parameter.
+    if radix < 8:
         head.append("    (void) ctab;")
-    body = [ln for ln in head if ln] + fn.lines + tail
-    return name, "\n".join(body)
+    return "\n".join(head + fn.lines + ["}"])
 
 
-def _emit_step5(nx, lang, ctype="float", cmul="naive"):
+def _emit_step5(nx, ctype="float", cmul="naive"):
     """Source text of the step-5 kernel for ``nx``-point contiguous lines."""
     r1, r2 = step5_split(nx)
-    fn = _Fn(lang, ctype, cmul)
-    data = "data"
-
-    def line_at(k):
-        return f"line[{2 * k}]", f"line[{2 * k + 1}]"
+    fn = _Fn(ctype, cmul)
 
     with fn.loop("row", "rows"):
-        if lang == "c":
-            fn.emit(f"{ctype}* restrict line = {data} + row * {2 * nx};")
-        else:
-            fn.let("line", f"row * {2 * nx}")
+        fn.emit(f"{ctype}* restrict line = data + row * {2 * nx};")
         if r2 == 1:
             # Direct 16-point codelet: no four-step stage, no line twiddles.
-            xs = []
-            for k in range(nx):
-                re, im = line_at(k)
-                re = re if lang == "c" else f"{data}[line + {2 * k}]"
-                im = im if lang == "c" else f"{data}[line + {2 * k + 1}]"
-                xs.append((fn.tmp(re), fn.tmp(f"sgn * {im}")))
+            xs = [
+                (fn.tmp(f"line[{2 * k}]"), fn.tmp(f"sgn * line[{2 * k + 1}]"))
+                for k in range(nx)
+            ]
             outs = fn.fft(xs)
             for k, (orr, oi) in enumerate(outs):
-                re, im = line_at(k)
-                re = re if lang == "c" else f"{data}[line + {2 * k}]"
-                im = im if lang == "c" else f"{data}[line + {2 * k + 1}]"
-                fn.store(re, orr)
-                fn.store(im, f"sgn * {oi}")
+                fn.store(f"line[{2 * k}]", orr)
+                fn.store(f"line[{2 * k + 1}]", f"sgn * {oi}")
         else:
             # Stage 1: r1 strided r2-point FFTs + four-step twiddle, into
             # the accumulator laid out [k2 * r1 + n1] (matching the
             # reference's intermediate), then stage 2: r2 contiguous
             # r1-point FFTs scattering to the digit-reversed line slots.
-            if lang == "c":
-                fn.emit(f"{ctype} acc[{2 * nx}];")
+            fn.emit(f"{ctype} acc[{2 * nx}];")
             with fn.loop("n1", r1):
                 xs = []
                 for n2 in range(r2):
-                    if lang == "c":
-                        b = fn.let(f"b{n2}", f"2 * (n1 + {r1 * n2})")
-                        xs.append(
-                            (fn.tmp(f"line[{b}]"), fn.tmp(f"sgn * line[{b} + 1]"))
-                        )
-                    else:
-                        b = fn.let(f"b{n2}", f"line + 2 * (n1 + {r1 * n2})")
-                        xs.append(
-                            (
-                                fn.tmp(f"{data}[{b}]"),
-                                fn.tmp(f"sgn * {data}[{b} + 1]"),
-                            )
-                        )
+                    b = fn.let(f"b{n2}", f"2 * (n1 + {r1 * n2})")
+                    xs.append((fn.tmp(f"line[{b}]"), fn.tmp(f"sgn * line[{b} + 1]")))
                 outs = fn.fft(xs)
                 for k2 in range(r2):
                     orr, oi = outs[k2]
@@ -382,47 +306,29 @@ def _emit_step5(nx, lang, ctype="float", cmul="naive"):
                     fn.store(f"acc[2 * ({k2 * r1} + n1)]", rr)
                     fn.store(f"acc[2 * ({k2 * r1} + n1) + 1]", ri)
             with fn.loop("k2", r2):
-                xs = []
-                for n1 in range(r1):
-                    xs.append(
-                        (
-                            fn.tmp(f"acc[2 * (k2 * {r1} + {n1})]"),
-                            fn.tmp(f"acc[2 * (k2 * {r1} + {n1}) + 1]"),
-                        )
+                xs = [
+                    (
+                        fn.tmp(f"acc[2 * (k2 * {r1} + {n1})]"),
+                        fn.tmp(f"acc[2 * (k2 * {r1} + {n1}) + 1]"),
                     )
+                    for n1 in range(r1)
+                ]
                 outs = fn.fft(xs)
                 for k1, (orr, oi) in enumerate(outs):
-                    if lang == "c":
-                        tgt = f"line[2 * (k2 + {r2 * k1})]"
-                        tgt1 = f"line[2 * (k2 + {r2 * k1}) + 1]"
-                    else:
-                        tgt = f"{data}[line + 2 * (k2 + {r2 * k1})]"
-                        tgt1 = f"{data}[line + 2 * (k2 + {r2 * k1}) + 1]"
-                    fn.store(tgt, orr)
-                    fn.store(tgt1, f"sgn * {oi}")
-    name = f"s5_{nx}"
-    if lang == "c":
-        name += "_f" if ctype == "float" else "_d"
-        args = [
-            f"{ctype}* restrict data",
-            f"const {ctype}* restrict w",
-            f"const {ctype}* restrict ctab",
-            "long rows",
-            f"{ctype} sgn",
-        ]
-        head = [_signature("c", name, ctype, args)]
-        if r2 == 1:
-            head.append("    (void) w;")
-        tail = ["}"]
-    else:
-        args = ["data", "w", "ctab", "acc", "rows", "sgn"]
-        head = [
-            _signature("py", name, ctype, args),
-            f'    """Step-5 kernel: {nx}-point FFTs '
-            f"({r1} x {r2} four-step) along contiguous lines.\"\"\"",
-        ]
-        tail = []
-    return name, "\n".join(head + fn.lines + tail)
+                    fn.store(f"line[2 * (k2 + {r2 * k1})]", orr)
+                    fn.store(f"line[2 * (k2 + {r2 * k1}) + 1]", f"sgn * {oi}")
+    name = f"s5_{nx}_{ctype[0]}"
+    args = [
+        f"{ctype}* restrict data",
+        f"const {ctype}* restrict w",
+        f"const {ctype}* restrict ctab",
+        "long rows",
+        f"{ctype} sgn",
+    ]
+    head = [f"void {name}({', '.join(args)}) {{"]
+    if r2 == 1:
+        head.append("    (void) w;")
+    return "\n".join(head + fn.lines + ["}"])
 
 
 _C_PRELUDE = """\
@@ -448,78 +354,8 @@ def c_module(ctype: str = "float", cmul: str = "fma") -> str:
     """
     parts = [_C_PRELUDE.format(ctype=ctype, cmul=cmul)]
     for radix in CODELET_RADICES:
-        parts.append(_emit_multirow(radix, "a", "c", ctype, cmul)[1])
-        parts.append(_emit_multirow(radix, "b", "c", ctype, cmul)[1])
+        parts.append(_emit_multirow(radix, "a", ctype, cmul))
+        parts.append(_emit_multirow(radix, "b", ctype, cmul))
     for nx in STEP5_SIZES:
-        parts.append(_emit_step5(nx, "c", ctype, cmul)[1])
+        parts.append(_emit_step5(nx, ctype, cmul))
     return "\n\n".join(parts) + "\n"
-
-
-_PY_PRELUDE = '''\
-"""Auto-generated five-step loop kernels (the numba backend's source).
-
-Generated by :mod:`repro.jit.emit` (``python -m repro.jit.emit`` rewrites
-this file); a unit test asserts the checked-in text matches the emitter,
-so the C and Python kernels can never drift apart.  The functions run
-under ``@njit(cache=True, nogil=True)`` when numba is available and as
-plain Python (on tiny grids, in tests) when it is not: all arithmetic is
-on array scalars, so pure-Python execution preserves float32/float64
-semantics exactly.
-
-Arguments are flat real-viewed arrays (``complex`` seen as ``[re, im]``
-pairs): ``inp``/``out``/``data`` the state, ``w`` the four-step twiddle
-table, ``ctab`` the packed codelet-constant table
-(:data:`repro.jit.emit.CTAB8_OFFSET` / :data:`~repro.jit.emit.CTAB16_OFFSET`),
-``acc`` a per-call scratch line, and ``sgn`` (±1, same dtype as the data)
-the conjugation sign for inverse transforms.  Complex multiplies are the
-naive form, so results are ulp-bounded against NumPy (DESIGN.md §18).
-"""
-
-# ruff: noqa: E501
-'''
-
-
-def python_module() -> str:
-    """The complete generated Python module (``repro.jit.loops``) text."""
-    parts = [_PY_PRELUDE]
-    mr_a, mr_b, s5 = [], [], []
-    for radix in CODELET_RADICES:
-        name_a, src_a = _emit_multirow(radix, "a", "py")
-        name_b, src_b = _emit_multirow(radix, "b", "py")
-        mr_a.append((radix, name_a))
-        mr_b.append((radix, name_b))
-        parts += [src_a, "", src_b, ""]
-    for nx in STEP5_SIZES:
-        name, src = _emit_step5(nx, "py")
-        s5.append((nx, name))
-        parts += [src, ""]
-    parts.append(
-        "#: Kernel lookup tables used by the backend orchestration."
-    )
-    parts.append(
-        "MULTIROW_A = {" + ", ".join(f"{r}: {n}" for r, n in mr_a) + "}"
-    )
-    parts.append(
-        "MULTIROW_B = {" + ", ".join(f"{r}: {n}" for r, n in mr_b) + "}"
-    )
-    parts.append("STEP5 = {" + ", ".join(f"{n}: {f}" for n, f in s5) + "}")
-    parts.append("")
-    parts.append(
-        "KERNEL_NAMES = ("
-        + ", ".join(f'"{n}"' for _, n in mr_a + mr_b + s5)
-        + ")"
-    )
-    return "\n".join(parts) + "\n"
-
-
-def _main() -> None:
-    """Rewrite ``repro/jit/loops.py`` from the emitter (dev tool)."""
-    from pathlib import Path
-
-    target = Path(__file__).resolve().parent / "loops.py"
-    target.write_text(python_module())
-    print(f"wrote {target}")
-
-
-if __name__ == "__main__":
-    _main()

@@ -158,11 +158,6 @@ class FFTServer:
         round-robin.  Fault streams, health transitions and worker
         assignment then depend only on submission order — the mode the
         seeded chaos drill (:mod:`repro.serve.chaos`) runs in.
-    pooling:
-        Forwarded to every engine: True (default) runs the
-        workspace-pooled zero-allocation host path, False the seed
-        allocate-per-step path (results are bit-identical; see
-        ``benchmarks/bench_hostpath.py``).
     fault_injector / retry_policy:
         Fault injection and retry bounds forwarded to every engine.
         With ``n_workers > 1`` a single injector is
@@ -193,10 +188,10 @@ class FFTServer:
         tests).
     backend:
         Compute backend forwarded to every engine (``"numpy"`` default,
-        ``"numba"``/``"cjit"``/``"auto"`` — :mod:`repro.jit`).  The
-        numba and cjit kernels release the GIL, so with ``n_workers > 1``
-        the per-worker compute permits become real parallel compute
-        instead of interleaved interpretation.
+        ``"cjit"``/``"auto"`` — :mod:`repro.jit`).  The cjit kernels
+        release the GIL, so with ``n_workers > 1`` the per-worker compute
+        permits become real parallel compute instead of interleaved
+        interpretation.
     """
 
     def __init__(
@@ -210,7 +205,6 @@ class FFTServer:
         n_streams: int = 3,
         n_workers: int = 1,
         serial_dispatch: bool = False,
-        pooling: bool = True,
         fault_injector: FaultInjector | Sequence[FaultInjector] | None = None,
         retry_policy: RetryPolicy | None = None,
         health: HealthPolicy | bool | None = None,
@@ -262,7 +256,6 @@ class FFTServer:
         self.scheduler = FairScheduler(scheduler)
         self._admission = AdmissionController(admission)
         self.n_streams = n_streams
-        self.pooling = pooling
         self._retry_policy = retry_policy
         self.profiler = profiler
         self.metrics: MetricsRegistry = (
@@ -629,7 +622,6 @@ class FFTServer:
                         fault_injector=self._injectors[wid],
                         retry_policy=self._retry_policy,
                         profiler=self.profiler,
-                        pooling=self.pooling,
                         raise_on_device_loss=raise_loss,
                         name=f"{self._name}-{key.slug}-solo{suffix}",
                         backend=self.backend,
@@ -647,7 +639,6 @@ class FFTServer:
                     retry_policy=self._retry_policy,
                     n_streams=self.n_streams,
                     profiler=self.profiler,
-                    pooling=self.pooling,
                     raise_on_device_loss=raise_loss,
                     name=f"{self._name}-{key.slug}{suffix}",
                     backend=self.backend,

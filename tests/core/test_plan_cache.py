@@ -218,7 +218,7 @@ class TestBackendKeying:
         cache.five_step((32, 32, 32), "single", GEFORCE_8800_GTX)
         s = cache.stats
         assert s.backend("numpy") == (1, 1)
-        assert s.backend("numba") == (0, 0)
+        assert s.backend("cjit") == (0, 0)
 
     def test_step_specs_keyed_by_backend(self, cache):
         from repro import jit

@@ -113,7 +113,7 @@ class TestZeroSteadyStateAllocation:
     def test_api_steady_state_hit_rate(self):
         shape = (16, 16, 16)
         x = (np.ones(shape) + 1j).astype(np.complex64)
-        with GpuFFT3D(shape, precision="single", pooling=True) as plan:
+        with GpuFFT3D(shape, precision="single") as plan:
             plan.forward(x)
             before = plan.workspace.stats
             for _ in range(10):
@@ -126,9 +126,13 @@ class TestZeroSteadyStateAllocation:
 
 
 class TestPoolingKnob:
-    def test_pooling_false_has_no_workspace(self):
-        with GpuFFT3D((16, 16, 16), pooling=False) as plan:
-            assert plan.workspace is None
+    def test_engines_always_own_a_workspace(self):
+        from repro.core.batch import BatchedGpuFFT3D
+
+        with GpuFFT3D((16, 16, 16)) as plan:
+            assert isinstance(plan.workspace, Workspace)
+        with BatchedGpuFFT3D((16, 16, 16)) as engine:
+            assert isinstance(engine.workspace, Workspace)
 
     def test_out_must_be_contiguous_and_matching(self):
         plan = FiveStepPlan((16, 16, 16), precision="single")

@@ -13,7 +13,7 @@ import pytest
 from repro import jit
 from repro.core.api import GpuFFT3D
 from repro.core.five_step import FiveStepPlan, resolve_plan_backend
-from repro.jit import cc, nb
+from repro.jit import cc
 
 
 class TestResolution:
@@ -27,15 +27,14 @@ class TestResolution:
         assert jit.backend_available(resolved)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            jit.resolve_backend("cuda")
-        with pytest.raises(ValueError, match="unknown backend"):
-            jit.backend_available("cuda")
+        for name in ("cuda", "numba"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                jit.resolve_backend(name)
+            with pytest.raises(ValueError, match="unknown backend"):
+                jit.backend_available(name)
 
     def test_explicit_unavailable_backend_degrades_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(nb, "available", lambda: False)
         monkeypatch.setattr(cc, "available", lambda: False)
-        assert jit.resolve_backend("numba") == "numpy"
         assert jit.resolve_backend("cjit") == "numpy"
         assert jit.resolve_backend("auto") == "numpy"
         assert jit.available_backends() == ("numpy",)
@@ -48,18 +47,16 @@ class TestResolution:
 
 
 class TestCleanFallback:
-    def test_no_numba_plan_falls_back_bit_identical(self, monkeypatch):
-        """The satellite fallback drill: numba requested on a machine
-        without numba (and, here, without a C compiler either) must run
-        the numpy path and produce its exact output."""
-        monkeypatch.setattr(nb, "available", lambda: False)
+    def test_no_compiler_plan_falls_back_bit_identical(self, monkeypatch):
+        """The fallback drill: cjit requested on a machine without a C
+        compiler must run the numpy path and produce its exact output."""
         monkeypatch.setattr(cc, "available", lambda: False)
         rng = np.random.default_rng(11)
         x = (
             rng.standard_normal((16, 16, 16))
             + 1j * rng.standard_normal((16, 16, 16))
         ).astype(np.complex64)
-        with GpuFFT3D((16, 16, 16), backend="numba", name="fb-jit") as plan:
+        with GpuFFT3D((16, 16, 16), backend="cjit", name="fb-jit") as plan:
             assert plan._plan.backend == "numpy"
             out = plan.forward(x)
         with GpuFFT3D((16, 16, 16), name="fb-ref") as plan:
@@ -70,11 +67,11 @@ class TestCleanFallback:
         """Availability said yes but the compile blew up: the plan must
         degrade to numpy at ensure_compiled, not raise."""
         plan = FiveStepPlan((16, 16, 16), precision="single", backend="numpy")
-        # Force a compiled backend past resolution, then make it explode.
-        plan.backend = "numba"
+        # Force the compiled backend past resolution, then make it explode.
+        plan.backend = "cjit"
 
         def boom(*a, **k):
-            raise ImportError("numba import failed mid-flight")
+            raise RuntimeError("cjit compile failed mid-flight")
 
         monkeypatch.setattr(jit, "compile_plan", boom)
         wall = plan.ensure_compiled()

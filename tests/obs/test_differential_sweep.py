@@ -22,7 +22,12 @@ import pytest
 
 from repro.core.api import GpuFFT3D
 from repro.core.batch import BatchedGpuFFT3D
+from repro.core.five_step import FiveStepPlan
+from repro.core.out_of_core import OutOfCorePlan
+from repro.core.workspace import Workspace
+from repro.fft.normalization import apply_norm
 from repro.gpu.faults import FaultInjector, FaultSpec
+from repro.gpu.specs import GEFORCE_8800_GTX
 from repro.obs.profiler import Profiler
 
 _SHAPES = [
@@ -186,60 +191,62 @@ class TestTracingIsPureProjection:
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.id)
 class TestPoolingIsPureOptimization:
-    """Workspace pooling on vs off: bit-identical spectra everywhere.
+    """The workspace arena: bit-identical to the unpooled reference.
 
     The pooled path writes through arena buffers and fuses the twiddle
     multiplies into the transpose stores; it must be an *optimization*
-    only — every value identical to the seed path, forward and inverse.
+    only — every value identical to the unpooled
+    :meth:`FiveStepPlan.execute`, forward and inverse.  The engines
+    always pool, so their results are checked against that reference.
     """
 
     def test_single_plan_bit_identical(self, case):
         x = _signal(case)
-
-        def run(pooling):
-            with GpuFFT3D(
-                case.shape,
-                precision=case.precision,
-                norm=case.norm,
-                pooling=pooling,
-            ) as plan:
-                fwd = plan.forward(x)
-                return fwd, plan.inverse(fwd)
-
-        f0, i0 = run(False)
-        f1, i1 = run(True)
-        assert np.array_equal(f0, f1)
-        assert np.array_equal(i0, i1)
+        plan = FiveStepPlan(case.shape, precision=case.precision)
+        ws = Workspace()
+        for inverse in (False, True):
+            out = np.empty_like(x)
+            pooled = plan.execute(x, inverse=inverse, workspace=ws, out=out)
+            assert pooled is out
+            assert np.array_equal(pooled, plan.execute(x, inverse=inverse))
 
     def test_batched_pipeline_bit_identical(self, case):
+        """The batched engine's mode: every entry in place (``out``
+        aliases the input) through one shared arena."""
         xs = _signal(case, batched=True)
-
-        def run(pooling):
-            with BatchedGpuFFT3D(
-                case.shape,
-                precision=case.precision,
-                norm=case.norm,
-                n_streams=2,
-                pooling=pooling,
-            ) as plan:
-                return plan.forward(xs)
-
-        assert np.array_equal(run(False), run(True))
+        plan = FiveStepPlan(case.shape, precision=case.precision)
+        ws = Workspace()
+        pooled = xs.copy()
+        for buf in pooled:
+            plan.execute(buf, workspace=ws, out=buf)
+        for x, out in zip(xs, pooled):
+            assert np.array_equal(out, plan.execute(x))
 
     def test_faulted_run_bit_identical(self, case):
+        """Retried transfers and launches re-acquire arena buffers; the
+        spectrum is still the unpooled reference's, bit for bit."""
         x = _signal(case)
+        with GpuFFT3D(
+            case.shape,
+            precision=case.precision,
+            norm=case.norm,
+            fault_injector=_injector(case),
+        ) as plan:
+            out = plan.forward(x)
+            assert plan.resilience.total_retries >= 1
+            assert not plan.resilience.downgrades
+        ref = FiveStepPlan(case.shape, precision=case.precision).execute(x)
+        n = int(np.prod(case.shape))
+        assert np.array_equal(out, apply_norm(ref, n, case.norm, False))
 
-        def run(pooling):
-            with GpuFFT3D(
-                case.shape,
-                precision=case.precision,
-                norm=case.norm,
-                fault_injector=_injector(case),
-                pooling=pooling,
-            ) as plan:
-                return plan.forward(x)
-
-        assert np.array_equal(run(False), run(True))
+    def test_out_of_core_bit_identical(self, case):
+        x = _signal(case)
+        plan = OutOfCorePlan(
+            case.shape, GEFORCE_8800_GTX, n_slabs=2, precision=case.precision
+        )
+        assert not plan.fits_in_core
+        ref = plan.execute(x)
+        assert np.array_equal(plan.execute(x, workspace=Workspace()), ref)
 
     def test_parallel_serve_bit_identical(self, case):
         from repro.serve.request import FFTRequest
@@ -275,15 +282,9 @@ def _jit_backend() -> str | None:
 
 
 def _assert_jit_equivalent(jitted: np.ndarray, ref: np.ndarray) -> None:
-    """Bit-identical for cjit (FMA-probed emission); ulp-bounded for the
-    naive-cmul numba kernels (documented bound: 4 ulp, DESIGN.md §18)."""
-    from tests.jit.test_kernels import ULP_BOUND, ulp_distance
-
-    if _jit_backend() == "numba":
-        assert ulp_distance(jitted, ref) <= ULP_BOUND
-    else:
-        rdt = np.float32 if ref.dtype == np.complex64 else np.float64
-        assert np.array_equal(jitted.view(rdt), ref.view(rdt))
+    """Bit-identical: cjit's complex multiply is probed against NumPy."""
+    rdt = np.float32 if ref.dtype == np.complex64 else np.float64
+    assert np.array_equal(jitted.view(rdt), ref.view(rdt))
 
 
 @pytest.mark.skipif(
@@ -295,8 +296,8 @@ class TestJitIsPureOptimization:
 
     The compiled hot path must be an *optimization* only — cjit matches
     the NumPy reference bit-for-bit (its complex multiply is probed
-    against the hardware), numba within the documented 4-ulp bound —
-    across the single-plan, batched, pooled, and faulted paths.
+    against the hardware) across the single-plan, batched, unpooled and
+    faulted paths.
     """
 
     def test_single_plan_forward_and_inverse(self, case):
@@ -336,14 +337,8 @@ class TestJitIsPureOptimization:
         x = _signal(case)
 
         def run(backend):
-            with GpuFFT3D(
-                case.shape,
-                precision=case.precision,
-                norm=case.norm,
-                pooling=False,
-                backend=backend,
-            ) as plan:
-                return plan.forward(x)
+            plan = FiveStepPlan(case.shape, precision=case.precision, backend=backend)
+            return plan.execute(x)
 
         _assert_jit_equivalent(run("auto"), run("numpy"))
 
