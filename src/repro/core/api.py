@@ -14,6 +14,13 @@ degrades to the host reference transform
 is driven by an optional :class:`~repro.gpu.faults.FaultInjector`; with
 no injector attached the resilient machinery adds zero simulated time.
 The cost of robustness is surfaced via :meth:`GpuFFT3D.resilience_report`.
+
+The retries themselves, the device reset and the host fallback live in
+:class:`~repro.core.resilient.ResilientExecutor`; construction, the five
+launches and the Parseval check in its base
+:class:`~repro.core.resilient.ResilientEngine`.  This module keeps the
+per-transform loop (``_run_in_core``: ECC recomputes and the reset
+budget) and the choice to free both device buffers on fallback.
 """
 
 from __future__ import annotations
@@ -25,19 +32,9 @@ import numpy as np
 
 from repro.core.estimator import FFT3DEstimate, estimate_fft3d
 from repro.core.out_of_core import OutOfCoreEstimate, OutOfCorePlan
-from repro.core.plan_cache import PLAN_CACHE
-from repro.core.workspace import Workspace
-from repro.core.resilient import (
-    ResilienceReport,
-    ResilientExecutor,
-    RetryPolicy,
-    energy_preserved,
-    run_out_of_core,
-)
+from repro.core.resilient import ResilientEngine, RetryPolicy, run_out_of_core
 from repro.fft.normalization import apply_norm
-from repro.fft.plan import PlanND
 from repro.gpu.faults import (
-    AllocationError,
     CorruptionError,
     DeviceLostError,
     FaultError,
@@ -45,7 +42,6 @@ from repro.gpu.faults import (
 )
 from repro.gpu.simulator import DeviceArray, DeviceSimulator
 from repro.gpu.specs import DeviceSpec, GEFORCE_8800_GTX
-from repro.util.units import flops_3d_fft
 from repro.util.validation import as_complex_array
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -58,7 +54,7 @@ __all__ = ["GpuFFT3D", "gpu_fft3d", "gpu_ifft3d"]
 _PLAN_IDS = count()
 
 
-class GpuFFT3D:
+class GpuFFT3D(ResilientEngine):
     """A planned 3-D transform bound to a (simulated) device.
 
     Parameters
@@ -136,154 +132,59 @@ class GpuFFT3D:
         raise_on_device_loss: bool = False,
         backend: str = "numpy",
     ):
-        if isinstance(shape, int):
-            shape = (shape, shape, shape)
-        self.raise_on_device_loss = raise_on_device_loss
-        self.device = device
-        self.norm = norm
-        self.precision = precision
-        self._injector = None
-        if simulator is None:
-            # A plan-owned simulator can carry the injector directly.
-            simulator = DeviceSimulator(device, fault_injector=fault_injector)
-        elif fault_injector is not None:
-            if simulator.faults is not None and simulator.faults is not fault_injector:
-                raise ValueError(
-                    "simulator already has a different fault injector; "
-                    "plans sharing a simulator must share one injector"
-                )
-            if simulator.faults is None:
-                # Shared simulator: never mutate it — scope the injector
-                # to this plan's transforms so sibling plans stay clean.
-                self._injector = fault_injector
-        self.simulator = simulator
-        self._ooc = OutOfCorePlan(shape, device, precision=precision)
-        self.shape = self._ooc.shape
-        self._plan = PLAN_CACHE.five_step(
-            self.shape, precision, device, backend=backend
+        super().__init__(
+            OutOfCorePlan(shape, device, precision=precision),
+            simulator,
+            norm,
+            fault_injector,
+            retry_policy,
+            verify,
+            profiler,
+            name or f"fft3d{next(_PLAN_IDS)}",
+            raise_on_device_loss,
+            backend,
         )
         self._dev_v: DeviceArray | None = None
         self._dev_w: DeviceArray | None = None
-        self._buf = name or f"fft3d{next(_PLAN_IDS)}"
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.attach(self.simulator)
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.resilience = ResilienceReport()
-        self._executor = ResilientExecutor(
-            self.simulator, self.retry_policy, self.resilience
-        )
-        self._verify = (
-            (fault_injector is not None or self.simulator.faults is not None)
-            if verify is None
-            else verify
-        )
-        self.workspace = Workspace(
-            name=self._buf,
-            metrics=profiler.metrics if profiler is not None else None,
-        )
         self._ooc_estimate: OutOfCoreEstimate | None = None
-
-    @property
-    def plan_id(self) -> str:
-        """The id tagged onto this plan's buffers and trace spans."""
-        return self._buf
 
     @property
     def out_of_core(self) -> bool:
         """True when the grid does not fit on the card."""
         return not self._ooc.fits_in_core
 
-    @property
-    def total_elements(self) -> int:
-        nz, ny, nx = self.shape
-        return nz * ny * nx
-
     # ------------------------------------------------------------------
-
-    def _allocate_retrying(self, shape, dtype, name: str) -> DeviceArray:
-        last = self.retry_policy.max_attempts - 1
-        for attempt in range(self.retry_policy.max_attempts):
-            try:
-                return self.simulator.allocate(shape, dtype, name)
-            except AllocationError:
-                if attempt == last:
-                    raise
-                self._executor.backoff(attempt, "alloc")
-        raise AssertionError("unreachable")
 
     def _ensure_device_buffers(self) -> None:
         if self._dev_v is not None and self.simulator.is_allocated(self._dev_v):
             return
-        dtype = np.complex64 if self.precision == "single" else np.complex128
-        self._dev_v = self._allocate_retrying(self.shape, dtype, f"{self._buf}-V")
-        self._dev_w = self._allocate_retrying(self.shape, dtype, f"{self._buf}-WORK")
+        alloc = self._executor.allocate
+        self._dev_v = alloc(self.shape, self._dtype, f"{self._buf}-V")
+        self._dev_w = alloc(self.shape, self._dtype, f"{self._buf}-WORK")
 
     def _attempt_in_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        wall = self._plan.ensure_compiled()
-        if wall:
-            # First transform on a JIT plan pays the kernel warm-up; make
-            # it a visible host span instead of unexplained latency.
-            self.simulator.charge(f"{self._buf}-jit.compile", wall, "host")
         self._ensure_device_buffers()
         assert self._dev_v is not None
-        ex = self._executor
-        ex.h2d(x, self._dev_v, f"{self._buf}-h2d")
-        specs = PLAN_CACHE.step_specs(
-            self.shape, self.precision, self.device, backend=self._plan.backend
-        )
-        result: dict[str, np.ndarray] = {}
-        ws = self.workspace
-
-        def body() -> None:
-            buf = ws.acquire(self.shape, self._dev_v.data.dtype)
-            result["out"] = self._plan.execute(
-                self._dev_v.data, inverse=inverse, workspace=ws, out=buf
-            )
-
+        self._executor.h2d(x, self._dev_v, f"{self._buf}-h2d")
+        # The spectrum lands in a pooled buffer, not in place: an ECC
+        # upset on the last launch then hits the discarded input.
+        buf = self.workspace.acquire(self.shape, self._dtype)
         try:
-            # Launch the five kernels; the functional work happens on the
-            # last launch (one pass through the plan), the timing on each.
-            for spec in specs[:-1]:
-                ex.launch(spec)
-            ex.launch(specs[-1], body)
-            if self._verify:
-                e_in = float(np.vdot(x, x).real)
-                e_out = float(np.vdot(result["out"], result["out"]).real)
-                if not energy_preserved(e_in, e_out, float(self.total_elements)):
-                    raise CorruptionError(
-                        "in-core transform violated the energy invariant "
-                        "(likely an ECC upset of a device buffer)"
-                    )
-            np.copyto(self._dev_v.data, result["out"])
+            self._launch_transform(self._dev_v, buf, inverse, stream=None)
+            self._check_energy(x, buf, "in-core transform")
+            np.copyto(self._dev_v.data, buf)
         finally:
-            ws.release(result.get("out"))
+            self.workspace.release(buf)
         out = np.empty_like(x)
-        ex.d2h(self._dev_v, out, f"{self._buf}-d2h")
+        self._executor.d2h(self._dev_v, out, f"{self._buf}-d2h")
         return out
 
     def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
         """Graceful degradation: host reference transform, charged as host time."""
-        self.resilience.downgrades.append(f"host-fallback: {reason}")
-        if self.simulator.device_lost:
-            self.simulator.reset_device()
-            self.resilience.device_resets += 1
         # The device buffers are dead weight from here on: free them (a
-        # reset already discarded them) instead of leaking the capacity.
+        # reset discards them anyway) instead of leaking the capacity.
         self.release()
-        from repro.baselines.fftw_cpu import FftwCpuBaseline
-
-        rate = FftwCpuBaseline(precision=self.precision).sustained_gflops(self.shape)
-        nz, ny, nx = self.shape
-        self.simulator.charge(
-            f"{self._buf}-host-fallback",
-            flops_3d_fft(nx, ny, nz) / (rate * 1e9),
-            "host",
-        )
-        plan = PlanND(self.shape, precision=self.precision)
-        if inverse:
-            return np.conj(plan.execute(np.conj(x)))
-        return plan.execute(x)
+        return self._executor.host_fallback(x, inverse, reason, self._buf)
 
     def _run_in_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
         resets = 0
@@ -296,10 +197,9 @@ class GpuFFT3D:
                 if self.raise_on_device_loss:
                     raise
                 resets += 1
-                self.resilience.device_resets += 1
                 if resets > self.retry_policy.max_device_resets:
                     return self._host_fallback(x, inverse, "device lost")
-                self.simulator.reset_device()
+                self._executor.reset_device()
             except CorruptionError:
                 corruption_retries += 1
                 if corruption_retries >= self.retry_policy.max_attempts:
@@ -345,25 +245,6 @@ class GpuFFT3D:
                     out = self._run_in_core(x, inverse)
         return apply_norm(out, self.total_elements, self.norm, inverse)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward transform; matches ``numpy.fft.fftn`` (default norm)."""
-        return self._run(x, inverse=False)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        """Inverse transform; matches ``numpy.fft.ifftn`` (default norm)."""
-        return self._run(x, inverse=True)
-
-    def execute(
-        self, x: np.ndarray, inverse: bool = False, force_host: bool = False
-    ) -> np.ndarray:
-        """One transform in either direction (the generic entry point).
-
-        ``force_host`` skips the device entirely and runs the reference
-        host transform (charged as host time) — the serving layer's
-        degradation path when every worker card is ejected.
-        """
-        return self._run(x, inverse=inverse, force_host=force_host)
-
     # ------------------------------------------------------------------
 
     def estimate(self) -> FFT3DEstimate:
@@ -378,30 +259,12 @@ class GpuFFT3D:
             self._ooc_estimate = self._ooc.estimate()
         return self._ooc_estimate
 
-    def resilience_report(self) -> ResilienceReport:
-        """The live resilience account, time fields synced to the simulator."""
-        return self.resilience.capture_timeline(self.simulator)
-
     def release(self) -> None:
         """Free the device buffers (a no-op for buffers lost to a reset)."""
         for arr in (self._dev_v, self._dev_w):
             if arr is not None and self.simulator.is_allocated(arr):
                 self.simulator.free(arr)
         self._dev_v = self._dev_w = None
-
-    def close(self) -> None:
-        """Tear the plan down: device buffers are freed, capacity returned.
-
-        Subsequent transforms re-allocate transparently, so ``close`` is
-        safe to call between bursts of work as well as at end of life.
-        """
-        self.release()
-
-    def __enter__(self) -> "GpuFFT3D":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def gpu_fft3d(

@@ -9,15 +9,27 @@ so the *cost* of robustness is a first-class observable:
   events;
 * checksummed transfers — :class:`ResilientExecutor` CRCs every payload
   across the PCIe hop and re-sends on mismatch, which is what turns
-  *silent* injected corruption into a retryable event;
+  *silent* injected corruption into a retryable event.  The executor is
+  the only place a device operation is retried: transfers and launches
+  (synchronous, or on a stream for the batch pipeline), allocations,
+  device resets and the host fallback all live on it, and
+  :class:`ResilientEngine` — the base of
+  :class:`~repro.core.api.GpuFFT3D` and
+  :class:`~repro.core.batch.BatchedGpuFFT3D` — holds their shared
+  construction, five-kernel launch and Parseval check;
 * checkpointed out-of-core execution — :func:`run_out_of_core` stages the
   Section 3.3 pipeline through real simulated transfers with the stage-1
   slabs and stage-2 plane groups as natural checkpoints, so a mid-run
   device loss resumes from the last completed slab instead of re-paying
   the 2x-PCIe traffic from scratch;
 * :class:`ResilienceReport` — attempts, retries by fault class,
-  checkpoint restores and time lost to faults, surfaced by the plan that
-  owns the transform.
+  checkpoint restores, device resets (resets *performed*, counted only
+  by :meth:`ResilientExecutor.reset_device`) and time lost to faults,
+  surfaced by the plan that owns the transform.
+
+The engines keep only their recovery *loops*: how many ECC recomputes
+and device resets a transform (or a batch entry) gets before it
+degrades, and which device buffers a degraded transform gives up.
 
 Energy verification (Parseval: an un-normalized FFT scales total energy
 by exactly N) is the cheap invariant used to catch ECC upsets that
@@ -29,26 +41,38 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.five_step import FiveStepPlan
 from repro.core.out_of_core import OutOfCoreEstimate, OutOfCorePlan
+from repro.core.plan_cache import PLAN_CACHE
+from repro.core.workspace import Workspace
+from repro.fft.plan import PlanND
 from repro.gpu.faults import (
+    AllocationError,
     CorruptionError,
     DeviceLostError,
+    FaultInjector,
     KernelLaunchError,
     TransferError,
 )
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.simulator import DeviceArray, DeviceSimulator
 from repro.gpu.timing import KernelTiming
+from repro.util.units import flops_3d_fft
 from repro.util.validation import as_complex_array
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.obs.profiler import Profiler
 
 __all__ = [
     "RetryPolicy",
     "ResilienceReport",
     "ResilientExecutor",
+    "ResilientEngine",
     "checksum",
     "energy_preserved",
     "run_out_of_core",
@@ -223,13 +247,18 @@ class ResilienceReport:
 class ResilientExecutor:
     """Retrying, checksumming front-end to a :class:`DeviceSimulator`.
 
-    Wraps the simulator's transfer/launch surface: every payload is CRC'd
-    across the bus and re-sent on mismatch, aborted transfers and
-    rejected launches are retried under the :class:`RetryPolicy`, and all
-    backoff waits are charged to the simulated timeline.  Device loss is
-    *not* handled here — it needs plan-level recovery (checkpoints,
+    The one place a device operation is retried.  Every payload is CRC'd
+    across the bus and re-sent on mismatch; aborted transfers, rejected
+    launches and transient allocation failures are retried under the
+    :class:`RetryPolicy`; all backoff waits are charged to the simulated
+    timeline.  Transfers and launches take an optional ``stream``:
+    ``None`` runs the simulator's synchronous operation, an int its
+    ``async_*`` twin on that stream, so the single-transform and the
+    pipelined batch engines share every retry loop.  Device loss is
+    *not* retried here — it needs plan-level recovery (checkpoints,
     re-planning), so :class:`~repro.gpu.faults.DeviceLostError`
-    propagates to the caller.
+    propagates to the caller, which recovers through
+    :meth:`reset_device`.
 
     With no fault injector attached the executor adds zero simulated
     time: checksums are host-side bookkeeping, and no backoff or repeat
@@ -256,111 +285,339 @@ class ResilientExecutor:
         self.report.note_retry(fault_class)
         return t
 
+    def reset_device(self) -> None:
+        """Reset a lost card and count it: ``device_resets`` is resets performed."""
+        self.sim.reset_device()
+        self.report.device_resets += 1
+
+    def _retry(self, op, faults: dict[type, str], counted: bool = True):
+        """Run ``op`` until it succeeds or the policy's attempts run out.
+
+        ``faults`` maps each retryable exception type to the fault class
+        its backoff is charged as; the last failure propagates.
+        """
+        last = self.policy.max_attempts - 1
+        for attempt in range(self.policy.max_attempts):
+            if counted:
+                self.report.attempts += 1
+            try:
+                return op()
+            except tuple(faults) as exc:
+                if attempt == last:
+                    raise
+                self.backoff(attempt, faults[type(exc)])
+        raise AssertionError("unreachable")
+
+    def allocate(self, shape, dtype, name: str) -> DeviceArray:
+        """Allocate a device array, retrying transient allocation failures.
+
+        Capacity exhaustion
+        (:class:`~repro.gpu.simulator.DeviceMemoryError`) is not transient
+        and propagates at once.  Allocations do not count as attempts.
+        """
+        return self._retry(
+            partial(self.sim.allocate, shape, dtype, name),
+            {AllocationError: "alloc"},
+            counted=False,
+        )
+
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
 
-    def h2d(self, host: np.ndarray, dev: DeviceArray, label: str = "h2d") -> float:
+    def _transfer(self, copy, received: np.ndarray, expected: int | None, what: str):
+        def attempt():
+            t = copy()
+            if expected is not None and checksum(received) != expected:
+                self.report.checksum_failures += 1
+                raise CorruptionError(
+                    f"{what}: checksum mismatch persisted through "
+                    f"{self.policy.max_attempts} attempts"
+                )
+            return t
+
+        return self._retry(
+            attempt, {TransferError: "transfer", CorruptionError: "corruption"}
+        )
+
+    def h2d(
+        self,
+        host: np.ndarray,
+        dev: DeviceArray,
+        label: str = "h2d",
+        stream: int | None = None,
+    ) -> float:
         """Checksummed host->device copy with bounded retries.
 
-        Checksums exist to catch *injected* transfer corruption; with no
-        fault injector attached to the simulator nothing can corrupt the
-        payload, so the CRC passes (two full passes over the data per
-        hop) are skipped.  The retry accounting is identical either way.
+        Returns what the simulator's copy returns: its seconds, or on a
+        ``stream`` its completion time.  Checksums exist to catch
+        *injected* transfer corruption; with no fault injector attached
+        to the simulator nothing can corrupt the payload, so the CRC
+        passes (two full passes over the data per hop) are skipped.  The
+        retry accounting is identical either way.
         """
-        fallible = self.sim.faults is not None
         expected = (
             checksum(
                 np.asarray(host).reshape(dev.shape).astype(dev.dtype, copy=False)
             )
-            if fallible
+            if self.sim.faults is not None
             else None
         )
-        last = self.policy.max_attempts - 1
-        for attempt in range(self.policy.max_attempts):
-            self.report.attempts += 1
-            try:
-                t = self.sim.h2d(host, dev, label)
-            except TransferError:
-                if attempt == last:
-                    raise
-                self.backoff(attempt, "transfer")
-                continue
-            if expected is None or checksum(dev.data) == expected:
-                return t
-            self.report.checksum_failures += 1
-            if attempt == last:
-                raise CorruptionError(
-                    f"h2d {label!r}: checksum mismatch persisted through "
-                    f"{self.policy.max_attempts} attempts"
-                )
-            self.backoff(attempt, "corruption")
-        raise AssertionError("unreachable")
+        copy = (
+            partial(self.sim.h2d, host, dev, label)
+            if stream is None
+            else partial(self.sim.async_h2d, host, dev, stream, label)
+        )
+        return self._transfer(copy, dev.data, expected, f"h2d {label!r}")
 
-    def d2h(self, dev: DeviceArray, host: np.ndarray, label: str = "d2h") -> float:
+    def d2h(
+        self,
+        dev: DeviceArray,
+        host: np.ndarray,
+        label: str = "d2h",
+        stream: int | None = None,
+    ) -> float:
         """Checksummed device->host copy with bounded retries.
 
-        CRC passes are skipped when no fault injector is attached, as in
-        :meth:`h2d`.
+        ``stream`` and the CRC skip behave as in :meth:`h2d`.
         """
-        fallible = self.sim.faults is not None
         expected = (
             checksum(dev.data.reshape(host.shape).astype(host.dtype, copy=False))
-            if fallible
+            if self.sim.faults is not None
             else None
         )
-        last = self.policy.max_attempts - 1
-        for attempt in range(self.policy.max_attempts):
-            self.report.attempts += 1
-            try:
-                t = self.sim.d2h(dev, host, label)
-            except TransferError:
-                if attempt == last:
-                    raise
-                self.backoff(attempt, "transfer")
-                continue
-            if expected is None or checksum(host) == expected:
-                return t
-            self.report.checksum_failures += 1
-            if attempt == last:
-                raise CorruptionError(
-                    f"d2h {label!r}: checksum mismatch persisted through "
-                    f"{self.policy.max_attempts} attempts"
-                )
-            self.backoff(attempt, "corruption")
-        raise AssertionError("unreachable")
+        copy = (
+            partial(self.sim.d2h, dev, host, label)
+            if stream is None
+            else partial(self.sim.async_d2h, dev, host, stream, label)
+        )
+        return self._transfer(copy, host, expected, f"d2h {label!r}")
 
     # ------------------------------------------------------------------
     # Launches
     # ------------------------------------------------------------------
 
-    def launch(self, spec: KernelSpec, body=None, *args, **kwargs) -> KernelTiming:
-        """Launch a spec'd kernel, retrying rejected launches."""
-        last = self.policy.max_attempts - 1
-        for attempt in range(self.policy.max_attempts):
-            self.report.attempts += 1
-            try:
-                return self.sim.launch(spec, body, *args, **kwargs)
-            except KernelLaunchError:
-                if attempt == last:
-                    raise
-                self.backoff(attempt, "launch")
-        raise AssertionError("unreachable")
+    def launch(
+        self, spec: KernelSpec, body=None, *args, stream: int | None = None, **kwargs
+    ) -> KernelTiming:
+        """Launch a spec'd kernel (on ``stream`` if given), retrying rejections."""
+        op = (
+            partial(self.sim.launch, spec, body, *args, **kwargs)
+            if stream is None
+            else partial(self.sim.async_launch, spec, stream, body, *args, **kwargs)
+        )
+        return self._retry(op, {KernelLaunchError: "launch"})
 
     def launch_timed(
         self, label: str, seconds: float, body=None, *args, **kwargs
     ) -> float:
         """Launch with precomputed timing, retrying rejected launches."""
-        last = self.policy.max_attempts - 1
-        for attempt in range(self.policy.max_attempts):
-            self.report.attempts += 1
-            try:
-                return self.sim.launch_timed(label, seconds, body, *args, **kwargs)
-            except KernelLaunchError:
-                if attempt == last:
-                    raise
-                self.backoff(attempt, "launch")
-        raise AssertionError("unreachable")
+        return self._retry(
+            partial(self.sim.launch_timed, label, seconds, body, *args, **kwargs),
+            {KernelLaunchError: "launch"},
+        )
+
+    def host_fallback(
+        self, x: np.ndarray, inverse: bool, reason: str, label: str
+    ) -> np.ndarray:
+        """Degrade one transform to the host reference, charged as host time.
+
+        Records the downgrade, resets a lost card (so the next transform
+        finds a live device), charges the transform at the FFTW
+        baseline's sustained rate as a ``{label}-host-fallback`` host span
+        and runs :class:`~repro.fft.plan.PlanND`.  Returns the
+        un-normalized result.
+        """
+        from repro.baselines.fftw_cpu import FftwCpuBaseline
+
+        self.report.downgrades.append(f"host-fallback: {reason}")
+        if self.sim.device_lost:
+            self.reset_device()
+        precision = "single" if x.dtype == np.complex64 else "double"
+        rate = FftwCpuBaseline(precision=precision).sustained_gflops(x.shape)
+        nz, ny, nx = x.shape
+        self.sim.charge(
+            f"{label}-host-fallback",
+            flops_3d_fft(nx, ny, nz) / (rate * 1e9),
+            "host",
+        )
+        plan = PlanND(x.shape, precision=precision)
+        if inverse:
+            return np.conj(plan.execute(np.conj(x)))
+        return plan.execute(x)
+
+
+class ResilientEngine:
+    """Construction and device recovery shared by the transform engines.
+
+    :class:`~repro.core.api.GpuFFT3D` and
+    :class:`~repro.core.batch.BatchedGpuFFT3D` differ only in how they
+    schedule work (one synchronous transform vs a stream pipeline) and
+    in their recovery *loops*; everything else lives here: injector
+    scoping, the default ``verify``, the :class:`ResilientExecutor`, the
+    workspace, the profiler attach, the five-kernel launch sequence, the
+    Parseval check and the host fallback.  Subclasses define ``_run``
+    and :meth:`release`.
+    """
+
+    def __init__(
+        self,
+        ooc: OutOfCorePlan,
+        simulator: DeviceSimulator | None,
+        norm: str,
+        fault_injector: FaultInjector | None,
+        retry_policy: RetryPolicy | None,
+        verify: bool | None,
+        profiler: Profiler | None,
+        name: str,
+        raise_on_device_loss: bool,
+        backend: str,
+    ):
+        self._ooc = ooc
+        self.shape = ooc.shape
+        self.device = ooc.device
+        self.precision = ooc.precision
+        self.norm = norm
+        self.raise_on_device_loss = raise_on_device_loss
+        self._injector = None
+        if simulator is None:
+            # A plan-owned simulator can carry the injector directly.
+            simulator = DeviceSimulator(self.device, fault_injector=fault_injector)
+        elif fault_injector is not None:
+            if simulator.faults is not None and simulator.faults is not fault_injector:
+                raise ValueError(
+                    "simulator already has a different fault injector; "
+                    "plans sharing a simulator must share one injector"
+                )
+            if simulator.faults is None:
+                # Shared simulator: never mutate it — scope the injector
+                # to this plan's transforms so sibling plans stay clean.
+                self._injector = fault_injector
+        self.simulator = simulator
+        self._plan = PLAN_CACHE.five_step(
+            self.shape, self.precision, self.device, backend=backend
+        )
+        self._buf = name
+        self.profiler = profiler
+        if profiler is not None:
+            profiler.attach(simulator)
+        self.retry_policy = retry_policy or RetryPolicy()
+        self.resilience = ResilienceReport()
+        self._executor = ResilientExecutor(
+            simulator, self.retry_policy, self.resilience
+        )
+        self._verify = (
+            (fault_injector is not None or simulator.faults is not None)
+            if verify is None
+            else verify
+        )
+        self.workspace = Workspace(
+            name=name, metrics=profiler.metrics if profiler is not None else None
+        )
+
+    @property
+    def plan_id(self) -> str:
+        """The id tagged onto this engine's buffers and trace spans."""
+        return self._buf
+
+    @property
+    def total_elements(self) -> int:
+        """Points per transform (the Parseval scale)."""
+        nz, ny, nx = self.shape
+        return nz * ny * nx
+
+    @property
+    def _dtype(self) -> type:
+        return np.complex64 if self.precision == "single" else np.complex128
+
+    def resilience_report(self) -> ResilienceReport:
+        """The live resilience account, time fields synced to the simulator."""
+        return self.resilience.capture_timeline(self.simulator)
+
+    def forward(self, x) -> np.ndarray:
+        """Forward transform; matches ``numpy.fft.fftn`` (per batch entry)."""
+        return self._run(x, inverse=False)
+
+    def inverse(self, x) -> np.ndarray:
+        """Inverse transform; matches ``numpy.fft.ifftn`` (per batch entry)."""
+        return self._run(x, inverse=True)
+
+    def execute(self, x, inverse: bool = False, force_host: bool = False) -> np.ndarray:
+        """One transform (or batch) in either direction.
+
+        ``force_host`` skips the device entirely and runs the reference
+        host transform (charged as host time) — the serving layer's
+        guaranteed-progress degradation when every worker card is
+        ejected.  Results stay correct; the downgrades are recorded in
+        :attr:`resilience`.
+        """
+        return self._run(x, inverse=inverse, force_host=force_host)
+
+    def release(self) -> None:
+        """Free the engine's device buffers (no-op for buffers lost to a reset)."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Tear the engine down: device buffers are freed, capacity returned.
+
+        Subsequent transforms re-allocate transparently, so ``close`` is
+        safe to call between bursts of work as well as at end of life.
+        """
+        self.release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Recovery building blocks
+    # ------------------------------------------------------------------
+
+    def _launch_transform(
+        self, src: DeviceArray, out: np.ndarray, inverse: bool, stream: int | None
+    ) -> None:
+        """The five kernels on ``stream``, transforming ``src`` into ``out``.
+
+        The functional work rides the last launch (one pass through the
+        plan), the timing all five.  The first transform on a JIT plan
+        pays the kernel warm-up, charged as a visible host span instead
+        of unexplained latency.
+        """
+        wall = self._plan.ensure_compiled()
+        if wall:
+            self.simulator.charge(f"{self._buf}-jit.compile", wall, "host")
+        specs = PLAN_CACHE.step_specs(
+            self.shape, self.precision, self.device, backend=self._plan.backend
+        )
+        for spec in specs[:-1]:
+            self._executor.launch(spec, stream=stream)
+        self._executor.launch(
+            specs[-1],
+            self._plan.execute,
+            src.data,
+            inverse,
+            workspace=self.workspace,
+            out=out,
+            stream=stream,
+        )
+
+    def _check_energy(self, x: np.ndarray, out: np.ndarray, what: str) -> None:
+        """Raise :class:`CorruptionError` when ``verify`` is on and Parseval fails."""
+        if self._verify and not energy_preserved(
+            _energy(x), _energy(out), float(self.total_elements)
+        ):
+            raise CorruptionError(
+                f"{what} violated the energy invariant "
+                "(likely an ECC upset of a device buffer)"
+            )
+
+    def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
+        """Degrade one transform to the host; a reset takes every buffer with it."""
+        if self.simulator.device_lost:
+            self.release()
+        return self._executor.host_fallback(x, inverse, reason, self._buf)
 
 
 # ----------------------------------------------------------------------
@@ -529,8 +786,7 @@ def run_out_of_core(
             return result
         except DeviceLostError:
             resets += 1
-            report.device_resets += 1
             if resets > policy.max_device_resets:
                 raise
-            sim.reset_device()
+            executor.reset_device()
             report.checkpoint_restores += 1

@@ -1,5 +1,7 @@
 """Tests for the batched, stream-pipelined execution engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core.api import GpuFFT3D
 from repro.core.batch import BatchedGpuFFT3D, gpu_fft3d_batch
 from repro.gpu.faults import FaultInjector, FaultSpec
 from repro.gpu.simulator import DeviceSimulator
-from repro.gpu.specs import GEFORCE_8800_GTX
+from repro.gpu.specs import GEFORCE_8800_GT, GEFORCE_8800_GTX
 
 N = 32
 B = 8
@@ -179,6 +181,33 @@ class TestBufferLifetime:
         assert engine.simulator.used_bytes > 0
         engine.close()
         assert engine.simulator.used_bytes == 0
+
+    def test_partial_slot_is_freed(self, rng):
+        # 3 MiB card, 1 MiB buffers: slot 0 takes 2 MiB, slot 1's V fits
+        # but its WORK does not, so the pipeline stops at one slot and
+        # must not strand the V it already allocated.
+        card = replace(GEFORCE_8800_GT, memory_mbytes=3)
+        xs = (rng.standard_normal((3, 32, 64, 64)) + 0j).astype(np.complex64)
+        engine = BatchedGpuFFT3D((32, 64, 64), device=card)
+        outs = engine.forward(xs)
+        assert engine.n_slots == 1
+        assert engine.simulator.used_bytes == 2 * 2**20
+        engine.close()
+        assert engine.simulator.used_bytes == 0
+        _assert_close(outs, _refs(xs))
+
+    def test_exhausted_work_allocation_frees_v(self, rng):
+        # Slot 0's V is allocation op 0; ops 1-4 fail WORK through every
+        # attempt.  Entry 0 degrades, and entry 1 must be able to
+        # allocate slot 0 afresh instead of finding a stranded V.
+        inj = FaultInjector([FaultSpec("alloc-fail", at_ops=(1, 2, 3, 4))])
+        xs = _batch(rng, b=2)
+        engine = BatchedGpuFFT3D(SHAPE, fault_injector=inj)
+        outs = engine.forward(xs)
+        assert engine.resilience.downgrades == ["host-fallback: AllocationError"]
+        engine.close()
+        assert engine.simulator.used_bytes == 0
+        _assert_close(outs, _refs(xs))
 
     def test_context_manager_frees_buffers(self, rng):
         with BatchedGpuFFT3D(SHAPE) as engine:
