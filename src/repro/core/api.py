@@ -21,6 +21,11 @@ launches and the Parseval check in its base
 :class:`~repro.core.resilient.ResilientEngine`.  This module keeps the
 per-transform loop (``_run_in_core``: ECC recomputes and the reset
 budget) and the choice to free both device buffers on fallback.
+
+With no fault injector in scope an in-core transform reads the caller's
+array and writes the result (a fresh array, or ``out=``) directly, the
+norm scale fused into step 5; the transfers are charged but nothing is
+copied (:meth:`~repro.core.resilient.ResilientEngine._round_trip`).
 """
 
 from __future__ import annotations
@@ -162,21 +167,17 @@ class GpuFFT3D(ResilientEngine):
         self._dev_v = alloc(self.shape, self._dtype, f"{self._buf}-V")
         self._dev_w = alloc(self.shape, self._dtype, f"{self._buf}-WORK")
 
-    def _attempt_in_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
+    def _attempt_in_core(
+        self, x: np.ndarray, inverse: bool, out: np.ndarray, e_in: float | None
+    ) -> np.ndarray:
         self._ensure_device_buffers()
         assert self._dev_v is not None
-        self._executor.h2d(x, self._dev_v, f"{self._buf}-h2d")
-        # The spectrum lands in a pooled buffer, not in place: an ECC
-        # upset on the last launch then hits the discarded input.
-        buf = self.workspace.acquire(self.shape, self._dtype)
-        try:
-            self._launch_transform(self._dev_v, buf, inverse, stream=None)
-            self._check_energy(x, buf, "in-core transform")
-            np.copyto(self._dev_v.data, buf)
-        finally:
-            self.workspace.release(buf)
-        out = np.empty_like(x)
-        self._executor.d2h(self._dev_v, out, f"{self._buf}-d2h")
+        # Staged: a faulted spectrum lands in a pooled buffer, not in
+        # place, so an ECC upset on the last launch hits the discarded input.
+        self._round_trip(
+            x, self._dev_v, out, inverse, None, self._buf, e_in,
+            "in-core transform", staged=True,
+        )
         return out
 
     def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
@@ -184,14 +185,19 @@ class GpuFFT3D(ResilientEngine):
         # The device buffers are dead weight from here on: free them (a
         # reset discards them anyway) instead of leaking the capacity.
         self.release()
-        return self._executor.host_fallback(x, inverse, reason, self._buf)
+        return super()._host_fallback(x, inverse, reason)
 
-    def _run_in_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
+    def _run_in_core(
+        self, x: np.ndarray, inverse: bool, out: np.ndarray | None
+    ) -> np.ndarray:
+        if out is None:
+            out = np.empty(self.shape, self._dtype)
+        e_in = self._input_energy(x)
         resets = 0
         corruption_retries = 0
         while True:
             try:
-                return self._attempt_in_core(x, inverse)
+                return self._attempt_in_core(x, inverse, out, e_in)
             except DeviceLostError:
                 self._dev_v = self._dev_w = None  # allocations died with card
                 if self.raise_on_device_loss:
@@ -227,23 +233,34 @@ class GpuFFT3D(ResilientEngine):
             if self.raise_on_device_loss and isinstance(exc, DeviceLostError):
                 raise
             return self._host_fallback(x, inverse, type(exc).__name__)
-        return np.conj(out) if inverse else out
+        if inverse:
+            np.conj(out, out=out)
+        return apply_norm(out, self.total_elements, self.norm, inverse)
 
     def _run(
-        self, x: np.ndarray, inverse: bool, force_host: bool = False
+        self,
+        x: np.ndarray,
+        inverse: bool,
+        force_host: bool = False,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         x = as_complex_array(x, self.precision)
         if x.shape != self.shape:
             raise ValueError(f"plan is for shape {self.shape}, got {x.shape}")
+        self._check_out(out, self.shape)
         with self.simulator.annotate(plan=self._buf):
             with self.simulator.fault_scope(self._injector):
+                x = self._own_input(x, out)
                 if force_host:
-                    out = self._host_fallback(x, inverse, "forced")
+                    res = self._host_fallback(x, inverse, "forced")
                 elif self.out_of_core:
-                    out = self._run_out_of_core(x, inverse)
+                    res = self._run_out_of_core(x, inverse)
                 else:
-                    out = self._run_in_core(x, inverse)
-        return apply_norm(out, self.total_elements, self.norm, inverse)
+                    res = self._run_in_core(x, inverse, out)
+        if out is None or res is out:
+            return res
+        np.copyto(out, res)
+        return out
 
     # ------------------------------------------------------------------
 

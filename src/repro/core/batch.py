@@ -35,7 +35,11 @@ host fallback are :class:`~repro.core.resilient.ResilientExecutor`'s,
 called with the slot's stream; construction, the five launches and the
 Parseval check come from :class:`~repro.core.resilient.ResilientEngine`.
 This module keeps the entry-level ECC loop (``_run_entry``), the
-batch-level reset budget (``_run``) and the slots.
+batch-level reset budget (``_run``) and the slots.  With no fault
+injector in scope each entry is transformed straight from the caller's
+array into its row of the result, norm scale included; the slot
+transfers are charged but nothing is copied
+(:meth:`~repro.core.resilient.ResilientEngine._round_trip`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ import numpy as np
 
 from repro.core.out_of_core import OutOfCorePlan
 from repro.core.resilient import ResilientEngine, RetryPolicy
-from repro.fft.normalization import apply_norm
 from repro.gpu.faults import (
     CorruptionError,
     DeviceLostError,
@@ -234,22 +237,33 @@ class BatchedGpuFFT3D(ResilientEngine):
             out.append(x)
         return out
 
-    def _run(self, xs, inverse: bool, force_host: bool = False) -> np.ndarray:
+    def _run(
+        self,
+        xs,
+        inverse: bool,
+        force_host: bool = False,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         entries = self._coerce_batch(xs)
-        # Downloads land directly in the stacked result: no per-entry
+        self._check_out(out, (len(entries), *self.shape))
+        # Results land directly in the stacked block: no per-entry
         # staging buffer and no stacking copy.  The block itself is the
         # caller-owned return value — the one allocation the transform
-        # loop legitimately makes.
-        final = np.empty((len(entries), *self.shape), self._dtype)
+        # loop legitimately makes (none with ``out=``).
+        final = out
+        if final is None:
+            final = np.empty((len(entries), *self.shape), self._dtype)
         if not entries:
             return final
         with self.simulator.annotate(plan=self._buf), self.simulator.fault_scope(
             self._injector
         ):
+            entries = [self._own_input(x, out) for x in entries]
             resets = 0
             dead = force_host  # device given up on: host path for the rest
             for i, x in enumerate(entries):
                 target = final[i]
+                e_in = self._input_energy(x)
                 with self.simulator.annotate(entry=i):
                     while True:
                         if dead:
@@ -259,7 +273,7 @@ class BatchedGpuFFT3D(ResilientEngine):
                         try:
                             self._ensure_slots(len(entries))
                             slot = self._slots[i % len(self._slots)]
-                            self._run_entry(i, x, slot, inverse, target)
+                            self._run_entry(i, x, slot, inverse, target, e_in)
                             break
                         except DeviceLostError:
                             # Only entry i was in flight functionally;
@@ -280,7 +294,7 @@ class BatchedGpuFFT3D(ResilientEngine):
                             )
                             break
             self.simulator.synchronize()
-        return apply_norm(final, self.total_elements, self.norm, inverse)
+        return final
 
     def _run_entry(
         self,
@@ -289,25 +303,25 @@ class BatchedGpuFFT3D(ResilientEngine):
         slot: _Slot,
         inverse: bool,
         target: np.ndarray,
+        e_in: float | None,
     ) -> None:
         label = f"{self._buf}-e{i}"
-        ex = self._executor
         corruption_retries = 0
         while True:
             try:
-                ex.h2d(x, slot.v, f"{label}-h2d", stream=slot.stream)
-                # In place on the device buffer: the five-step chain only
-                # reads its input during step 1, so the spectrum can land
-                # where the signal was — no result staging at all.
-                self._launch_transform(slot.v, slot.v.data, inverse, slot.stream)
-                self._check_energy(x, slot.v.data, f"batch entry {label!r}")
-                ex.d2h(slot.v, target, f"{label}-d2h", stream=slot.stream)
+                # Unstaged: a faulted entry is transformed in place on the
+                # device buffer — the five-step chain only reads its input
+                # during step 1, so the spectrum can land where the signal was.
+                self._round_trip(
+                    x, slot.v, target, inverse, slot.stream, label, e_in,
+                    f"batch entry {label!r}",
+                )
                 return
             except CorruptionError:
                 corruption_retries += 1
                 if corruption_retries >= self.retry_policy.max_attempts:
                     raise
-                ex.backoff(corruption_retries - 1, "ecc")
+                self._executor.backoff(corruption_retries - 1, "ecc")
 
 
 def gpu_fft3d_batch(

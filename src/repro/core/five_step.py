@@ -110,6 +110,14 @@ def resolve_plan_backend(shape, backend: str = "numpy") -> str:
     return resolved
 
 
+def _scaled(y: np.ndarray, scale: float) -> np.ndarray:
+    """``y *= scale`` in place, as a complex multiply; a no-op for 1."""
+    s = y.dtype.type(scale)
+    if s != 1:
+        y *= s
+    return y
+
+
 @dataclass(frozen=True)
 class StepInfo:
     """One step of the plan: its spec builder plus a readable description."""
@@ -281,10 +289,10 @@ class FiveStepPlan:
         PLAN_CACHE.record_compile(self.backend, wall)
         return wall
 
-    def _execute_compiled(self, x, inverse, workspace, out):
+    def _execute_compiled(self, x, inverse, workspace, out, scale):
         """The compiled five-call sequence (same contract as the rest of
         :meth:`execute`: ``out`` may alias ``x``, ``workspace`` pools the
-        ping-pong scratch)."""
+        ping-pong scratch, ``scale`` rides step 5's store)."""
         if out is None:
             out = np.empty(self.shape, x.dtype)
         if workspace is not None:
@@ -292,7 +300,7 @@ class FiveStepPlan:
         else:
             work = np.empty(self.shape, x.dtype)
         try:
-            self._compiled.run(x, out, work, inverse)
+            self._compiled.run(x, out, work, inverse, scale)
         finally:
             if workspace is not None:
                 workspace.release(work)
@@ -309,10 +317,16 @@ class FiveStepPlan:
         *,
         workspace=None,
         out: np.ndarray | None = None,
+        scale: float = 1.0,
     ) -> np.ndarray:
         """Run the transform on the host; un-normalized both directions.
 
         Matches ``numpy.fft.fftn`` forward and ``ifftn * N`` inverse.
+        ``scale`` multiplies the result as
+        :func:`~repro.fft.normalization.apply_norm` does (``y *= scale``, a
+        complex multiply by ``(scale, 0)``, skipped when the scale is 1 in
+        the plan's precision), bit for bit: the compiled backend fuses it
+        into step 5's store, NumPy multiplies in place after step 5.
 
         ``workspace`` (a :class:`~repro.core.workspace.Workspace`) runs the
         pooled zero-allocation path: every intermediate comes from the
@@ -338,7 +352,7 @@ class FiveStepPlan:
         if self.backend != "numpy":
             self.ensure_compiled()
         if self._compiled is not None:
-            return self._execute_compiled(x, inverse, workspace, out)
+            return self._execute_compiled(x, inverse, workspace, out, scale)
         state = x.reshape(self.rz2, self.rz1, self.ry2, self.ry1, nx)
         if workspace is None:
             state = multirow_half1(state, wz, inverse)  # step 1
@@ -346,7 +360,7 @@ class FiveStepPlan:
             state = multirow_half1(state, wy, inverse)  # step 3
             state = multirow_half2(state, inverse)      # step 4
             state = shared_x_transform(state, inverse)  # step 5
-            res = state.reshape(self.shape)
+            res = _scaled(state.reshape(self.shape), scale)
             if out is None:
                 return res
             np.copyto(out, res)
@@ -363,7 +377,7 @@ class FiveStepPlan:
             out = np.empty(self.shape, b4.dtype)
         shared_x_transform(b4, inverse, out=out.reshape(b4.shape), ws=ws)
         ws.release(b4)
-        return out
+        return _scaled(out, scale)
 
     def execute_steps(self, x: np.ndarray, inverse: bool = False):
         """Yield ``(StepInfo, state)`` after each step (for inspection)."""

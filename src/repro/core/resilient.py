@@ -31,6 +31,14 @@ The engines keep only their recovery *loops*: how many ECC recomputes
 and device resets a transform (or a batch entry) gets before it
 degrades, and which device buffers a degraded transform gives up.
 
+Bytes cross the simulated link only while a fault injector is in scope.
+Without one nothing can corrupt a payload or a device buffer, so
+:meth:`ResilientEngine._round_trip` runs the five kernels straight from
+the caller's array into the result: the device buffers alias host
+memory (:meth:`~repro.gpu.simulator.DeviceArray.alias`), and the h2d and
+d2h are charged and recorded exactly as copies would be, so the
+simulated timeline and the :class:`ResilienceReport` do not change.
+
 Energy verification (Parseval: an un-normalized FFT scales total energy
 by exactly N) is the cheap invariant used to catch ECC upsets that
 checksums cannot see because they happen *after* the data crossed the
@@ -50,6 +58,7 @@ from repro.core.five_step import FiveStepPlan
 from repro.core.out_of_core import OutOfCoreEstimate, OutOfCorePlan
 from repro.core.plan_cache import PLAN_CACHE
 from repro.core.workspace import Workspace
+from repro.fft.normalization import apply_norm, scale_factor
 from repro.fft.plan import PlanND
 from repro.gpu.faults import (
     AllocationError,
@@ -455,9 +464,10 @@ class ResilientEngine:
     schedule work (one synchronous transform vs a stream pipeline) and
     in their recovery *loops*; everything else lives here: injector
     scoping, the default ``verify``, the :class:`ResilientExecutor`, the
-    workspace, the profiler attach, the five-kernel launch sequence, the
-    Parseval check and the host fallback.  Subclasses define ``_run``
-    and :meth:`release`.
+    workspace, the profiler attach, the ``out=`` contract, the device
+    round trip (zero-copy or staged, :meth:`_round_trip`), the Parseval
+    check and the host fallback.  Subclasses define ``_run`` and
+    :meth:`release`.
     """
 
     def __init__(
@@ -534,15 +544,25 @@ class ResilientEngine:
         """The live resilience account, time fields synced to the simulator."""
         return self.resilience.capture_timeline(self.simulator)
 
-    def forward(self, x) -> np.ndarray:
-        """Forward transform; matches ``numpy.fft.fftn`` (per batch entry)."""
-        return self._run(x, inverse=False)
+    def forward(self, x, out: np.ndarray | None = None) -> np.ndarray:
+        """Forward transform; matches ``numpy.fft.fftn`` (per batch entry).
 
-    def inverse(self, x) -> np.ndarray:
+        ``out`` receives the result instead of a fresh array (see
+        :meth:`execute`).
+        """
+        return self._run(x, inverse=False, out=out)
+
+    def inverse(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse transform; matches ``numpy.fft.ifftn`` (per batch entry)."""
-        return self._run(x, inverse=True)
+        return self._run(x, inverse=True, out=out)
 
-    def execute(self, x, inverse: bool = False, force_host: bool = False) -> np.ndarray:
+    def execute(
+        self,
+        x,
+        inverse: bool = False,
+        force_host: bool = False,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """One transform (or batch) in either direction.
 
         ``force_host`` skips the device entirely and runs the reference
@@ -550,8 +570,13 @@ class ResilientEngine:
         guaranteed-progress degradation when every worker card is
         ejected.  Results stay correct; the downgrades are recorded in
         :attr:`resilience`.
+
+        ``out`` — a writeable, C-contiguous array of the result's shape
+        (``(batch, *shape)`` for the batch engine) and dtype — receives
+        the result and is returned; anything else raises ``ValueError``.
+        It may be ``x`` itself (an in-place transform).
         """
-        return self._run(x, inverse=inverse, force_host=force_host)
+        return self._run(x, inverse=inverse, force_host=force_host, out=out)
 
     def release(self) -> None:
         """Free the engine's device buffers (no-op for buffers lost to a reset)."""
@@ -575,15 +600,96 @@ class ResilientEngine:
     # Recovery building blocks
     # ------------------------------------------------------------------
 
+    def _check_out(self, out: np.ndarray | None, shape: tuple[int, ...]) -> None:
+        """Reject an ``out=`` the transform could not write its result into."""
+        if out is None:
+            return
+        if not isinstance(out, np.ndarray) or out.shape != shape or (
+            out.dtype != self._dtype
+        ):
+            got = (
+                f"{out.shape} {out.dtype}"
+                if isinstance(out, np.ndarray)
+                else type(out).__name__
+            )
+            raise ValueError(f"out must be {shape} {np.dtype(self._dtype)}, got {got}")
+        if not out.flags.c_contiguous or not out.flags.writeable:
+            raise ValueError("out must be C-contiguous and writeable")
+
+    def _own_input(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``x``, or a private copy when a faulted run might recompute from it.
+
+        With an injector in scope a download can land in ``out`` and the
+        transform still be retried (a download corrupted on every
+        attempt, a device loss) or degraded to the host, both of which
+        read ``x`` again: an ``out`` overlapping ``x`` would hand them the
+        partial result.  Call inside the engine's fault scope.
+        """
+        if (
+            out is not None
+            and self.simulator.faults is not None
+            and np.may_share_memory(x, out)
+        ):
+            return x.copy()
+        return x
+
+    def _input_energy(self, x: np.ndarray) -> float | None:
+        """The Parseval input energy, taken before ``x`` can be overwritten."""
+        return _energy(x) if self._verify else None
+
+    def _round_trip(
+        self,
+        x: np.ndarray,
+        v: DeviceArray,
+        out: np.ndarray,
+        inverse: bool,
+        stream: int | None,
+        label: str,
+        e_in: float | None,
+        what: str,
+        staged: bool = False,
+    ) -> None:
+        """Upload ``x`` to ``v``, run the five kernels, download into ``out``.
+
+        The one place that decides whether bytes cross the simulated
+        link.  With no fault injector in scope they do not: ``v`` aliases
+        the caller's memory, the kernels read ``x`` and write ``out``
+        directly, and the h2d/d2h are charged and recorded exactly as
+        the copies would be (same label, bytes, seconds, start and
+        stream).  With an injector the payload really travels: it is
+        uploaded into ``v``, transformed in place there (or, when
+        ``staged``, into a pooled buffer that is then copied back into
+        ``v``) and downloaded, so transfer corruption, ECC upsets and the
+        checksums act on real device buffers.
+        """
+        ex = self._executor
+        if self.simulator.faults is None:
+            ex.h2d(x, v.alias(x), f"{label}-h2d", stream=stream)
+            self._launch_transform(x, out, inverse, stream)
+            self._check_energy(e_in, out, inverse, what)
+            ex.d2h(v.alias(out), out, f"{label}-d2h", stream=stream)
+            return
+        ex.h2d(x, v, f"{label}-h2d", stream=stream)
+        stage = self.workspace.acquire(self.shape, self._dtype) if staged else None
+        try:
+            dst = v.data if stage is None else stage
+            self._launch_transform(v.data, dst, inverse, stream)
+            self._check_energy(e_in, dst, inverse, what)
+            if stage is not None:
+                np.copyto(v.data, stage)
+        finally:
+            self.workspace.release(stage)
+        ex.d2h(v, out, f"{label}-d2h", stream=stream)
+
     def _launch_transform(
-        self, src: DeviceArray, out: np.ndarray, inverse: bool, stream: int | None
+        self, src: np.ndarray, out: np.ndarray, inverse: bool, stream: int | None
     ) -> None:
         """The five kernels on ``stream``, transforming ``src`` into ``out``.
 
         The functional work rides the last launch (one pass through the
-        plan), the timing all five.  The first transform on a JIT plan
-        pays the kernel warm-up, charged as a visible host span instead
-        of unexplained latency.
+        plan, with the norm scale fused into step 5), the timing all five.
+        The first transform on a JIT plan pays the kernel warm-up, charged
+        as a visible host span instead of unexplained latency.
         """
         wall = self._plan.ensure_compiled()
         if wall:
@@ -596,17 +702,27 @@ class ResilientEngine:
         self._executor.launch(
             specs[-1],
             self._plan.execute,
-            src.data,
+            src,
             inverse,
             workspace=self.workspace,
             out=out,
+            scale=self._scale(inverse),
             stream=stream,
         )
 
-    def _check_energy(self, x: np.ndarray, out: np.ndarray, what: str) -> None:
-        """Raise :class:`CorruptionError` when ``verify`` is on and Parseval fails."""
-        if self._verify and not energy_preserved(
-            _energy(x), _energy(out), float(self.total_elements)
+    def _scale(self, inverse: bool) -> float:
+        return scale_factor(self.total_elements, self.norm, inverse)
+
+    def _check_energy(
+        self, e_in: float | None, out: np.ndarray, inverse: bool, what: str
+    ) -> None:
+        """Raise :class:`CorruptionError` when ``verify`` is on and Parseval fails.
+
+        ``e_in`` comes from :meth:`_input_energy`; ``out`` carries the
+        fused norm scale ``s``, so its energy is ``N * s**2 * e_in``.
+        """
+        if e_in is not None and not energy_preserved(
+            e_in, _energy(out), self.total_elements * self._scale(inverse) ** 2
         ):
             raise CorruptionError(
                 f"{what} violated the energy invariant "
@@ -614,10 +730,14 @@ class ResilientEngine:
             )
 
     def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
-        """Degrade one transform to the host; a reset takes every buffer with it."""
+        """Degrade one transform to the host; a reset takes every buffer with it.
+
+        Returns the normalized result, like the device path.
+        """
         if self.simulator.device_lost:
             self.release()
-        return self._executor.host_fallback(x, inverse, reason, self._buf)
+        y = self._executor.host_fallback(x, inverse, reason, self._buf)
+        return apply_norm(y, self.total_elements, self.norm, inverse)
 
 
 # ----------------------------------------------------------------------

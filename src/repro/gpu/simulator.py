@@ -4,9 +4,13 @@
 API: device arrays live in a simulated address space (backed by host NumPy
 storage), kernels execute their functional NumPy body and charge the
 timing model, and PCIe transfers move data while charging the link model.
-The capacity check is real — allocating a 512^3 complex grid on a 512 MB
-card raises :class:`DeviceMemoryError`, which is precisely why the paper
-needs its out-of-core algorithm (Section 3.3).
+A device array may also *alias* host memory (:meth:`DeviceArray.alias`,
+the simulated counterpart of mapped pinned memory): a transfer between a
+host array and an alias of that same array moves no bytes but is charged
+and recorded exactly like a copy.  The capacity check is real —
+allocating a 512^3 complex grid on a 512 MB card raises
+:class:`DeviceMemoryError`, which is precisely why the paper needs its
+out-of-core algorithm (Section 3.3).
 
 Time is accounted on a *scheduled* timeline: every event carries a start
 time and a duration.  The legacy synchronous surface (:meth:`h2d`,
@@ -45,6 +49,7 @@ hook.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
@@ -96,6 +101,18 @@ class DeviceArray:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
+
+    def alias(self, host: np.ndarray) -> "DeviceArray":
+        """This allocation (same name and address) backed by ``host``'s memory.
+
+        A transfer between ``host`` and the alias moves no bytes — the
+        payload is already where it has to be — yet the simulator charges
+        and records it exactly like a copy, so the timeline does not
+        change.  Nothing can corrupt a payload that never moves, so only
+        fault-free runs use aliases
+        (:meth:`repro.core.resilient.ResilientEngine._round_trip`).
+        """
+        return DeviceArray(self.name, host, self.base)
 
 
 @dataclass
@@ -235,17 +252,23 @@ class DeviceSimulator:
         return self.device.memory_bytes - self._used
 
     def allocate(self, shape, dtype, name: str | None = None) -> DeviceArray:
-        """Allocate a device array; raises if it does not fit."""
+        """Allocate a device array; raises if it does not fit.
+
+        Capacity is checked before the host storage is built, so a grid
+        larger than the card raises :class:`DeviceMemoryError` (with its
+        out-of-core hint) even when the host could not hold it either.
+        """
         self._check_alive()
-        data = np.zeros(shape, dtype=dtype)
-        if data.nbytes > self.free_bytes:
+        nbytes = np.dtype(dtype).itemsize * math.prod(np.atleast_1d(shape).tolist())
+        if nbytes > self.free_bytes:
             raise DeviceMemoryError(
-                f"cannot allocate {data.nbytes / 2**20:.0f} MiB on "
+                f"cannot allocate {nbytes / 2**20:.0f} MiB on "
                 f"{self.device.name} ({self.free_bytes / 2**20:.0f} MiB free "
                 f"of {self.device.memory_mbytes} MiB); use the out-of-core "
                 "path (repro.core.out_of_core) for transforms larger than "
                 "device memory"
             )
+        data = np.zeros(shape, dtype=dtype)
         name = name or f"array{len(self._arrays)}"
         if name in self._arrays:
             raise ValueError(f"device array {name!r} already exists")
@@ -428,7 +451,8 @@ class DeviceSimulator:
         self._check_alive()
         self._check_sizes(host, dev, "h2d")
         fault = self._transfer_fault(label, host.nbytes, "h2d", start, stream)
-        np.copyto(dev.data, host.reshape(dev.shape).astype(dev.dtype, copy=False))
+        if dev.data is not host:  # an alias already holds the payload
+            np.copyto(dev.data, host.reshape(dev.shape).astype(dev.dtype, copy=False))
         corrupted = fault == "transfer-corrupt"
         if corrupted:
             assert self.faults is not None
@@ -447,7 +471,8 @@ class DeviceSimulator:
         self._check_alive()
         self._check_sizes(host, dev, "d2h")
         fault = self._transfer_fault(label, dev.nbytes, "d2h", start, stream)
-        np.copyto(host, dev.data.reshape(host.shape).astype(host.dtype, copy=False))
+        if dev.data is not host:
+            np.copyto(host, dev.data.reshape(host.shape).astype(host.dtype, copy=False))
         corrupted = fault == "transfer-corrupt"
         if corrupted:
             assert self.faults is not None

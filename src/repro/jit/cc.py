@@ -258,7 +258,7 @@ class CJitLibrary:
             mr_b[radix] = fb
         for nx in emit.STEP5_SIZES:
             fs = getattr(lib, f"s5_{nx}_{suffix}")
-            fs.argtypes = [ptr, ptr, ptr, ctypes.c_long, scalar]
+            fs.argtypes = [ptr, ptr, ptr, ctypes.c_long, scalar, scalar]
             fs.restype = None
             s5[nx] = fs
         self.kernels: dict[str, dict[int, object]] = {

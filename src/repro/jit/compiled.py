@@ -11,7 +11,7 @@ through the exact pipeline the reference executes:
     2. ``mr_b[rz1]``  -> (c,d,b,a,nx)
     3. ``mr_a[ry2]``  -> (d,b,a,c,nx), wy fused
     4. ``mr_b[ry1]``  -> (b,a,d,c,nx)
-    5. ``s5[nx]``     in place along the contiguous lines
+    5. ``s5[nx]``     in place along the contiguous lines, times ``scale``
 
 with one ping-pong work buffer: x -> work -> out -> work -> out -> out.
 ``out`` may alias ``x`` (the batched engine transforms device buffers in
@@ -114,12 +114,16 @@ class CompiledFiveStep:
         out: np.ndarray,
         work: np.ndarray,
         inverse: bool = False,
+        scale: float = 1.0,
     ) -> None:
         """Transform C-contiguous ``x`` into ``out`` (may alias ``x``).
 
         ``work`` is a caller-owned scratch array of the plan's shape and
         dtype (from the plan's workspace arena on the pooled path); its
-        contents are clobbered.
+        contents are clobbered.  ``scale`` (a normalization factor) is
+        applied by step 5 to each chunk of finished lines while it is
+        still in cache; a scale that is exactly 1 in the plan's precision
+        is skipped.
         """
         rdt = self._rdtype
         a, b, c, d = self._radices
@@ -135,4 +139,4 @@ class CompiledFiveStep:
         mr_b[b](wf, of, self._ctab, c, d, a, nx, sgn)
         mr_a[c](of, wf, self._wy, self._ctab, d, b, a, nx, sgn)
         mr_b[d](wf, of, self._ctab, b, a, c, nx, sgn)
-        s5(of, self._w5, self._ctab, a * b * c * d, sgn)
+        s5(of, self._w5, self._ctab, a * b * c * d, sgn, rdt.type(scale))

@@ -20,7 +20,12 @@ compiler sees straight-line butterflies with no dispatch in the hot loop:
 ``s5_{nx}``
     Step-5 kernel: ``nx``-point FFTs along the contiguous last axis,
     decomposed ``nx = r1 * r2`` exactly as ``four_step_fft`` does (or the
-    direct 16-point codelet when ``nx == 16``).
+    direct 16-point codelet when ``nx == 16``).  It runs the lines in
+    chunks through the static ``s5_rows_{nx}`` line transform; a
+    ``scale`` other than 1 is applied to each finished chunk while it is
+    still in cache (the static ``scale`` helper), as the complex multiply
+    by ``(scale, 0)`` that NumPy's ``x *= scale`` performs, so signed
+    zeros match :func:`repro.fft.normalization.apply_norm`.
 
 In C, the innermost loop of each multirow kernel carries ``#pragma omp
 simd``: consecutive X elements (pattern A) or rows (pattern B) become
@@ -269,8 +274,18 @@ def _emit_multirow(radix, pattern, ctype="float", cmul="naive"):
     return "\n".join(head + fn.lines + ["}"])
 
 
-def _emit_step5(nx, ctype="float", cmul="naive"):
-    """Source text of the step-5 kernel for ``nx``-point contiguous lines."""
+#: Complex elements per step-5 chunk: the rows the kernel finishes before
+#: scaling them, a block that is still in L1 when the scale pass reads it.
+STEP5_CHUNK = 2048
+
+#: Keeps each static helper one function.  Inlined into its caller, the
+#: line transform would be optimized again inside the chunk loop, which
+#: measurably slows the cold compile.
+_NOINLINE = "void __attribute__((noinline))"
+
+
+def _emit_step5_rows(nx, ctype="float", cmul="naive"):
+    """Source text of the step-5 line transform, in place over ``rows`` lines."""
     r1, r2 = step5_split(nx)
     fn = _Fn(ctype, cmul)
 
@@ -317,7 +332,6 @@ def _emit_step5(nx, ctype="float", cmul="naive"):
                 for k1, (orr, oi) in enumerate(outs):
                     fn.store(f"line[2 * (k2 + {r2 * k1})]", orr)
                     fn.store(f"line[2 * (k2 + {r2 * k1}) + 1]", f"sgn * {oi}")
-    name = f"s5_{nx}_{ctype[0]}"
     args = [
         f"{ctype}* restrict data",
         f"const {ctype}* restrict w",
@@ -325,10 +339,56 @@ def _emit_step5(nx, ctype="float", cmul="naive"):
         "long rows",
         f"{ctype} sgn",
     ]
-    head = [f"void {name}({', '.join(args)}) {{"]
+    head = [f"static {_NOINLINE} s5_rows_{nx}_{ctype[0]}({', '.join(args)}) {{"]
     if r2 == 1:
         head.append("    (void) w;")
     return "\n".join(head + fn.lines + ["}"])
+
+
+def _emit_scale(ctype="float", cmul="naive"):
+    """Source text of ``scale_*``: ``n`` complex values times ``(scale, 0)``."""
+    fn = _Fn(ctype, cmul)
+    with fn.loop("k", "n"):
+        re = fn.tmp("p[2 * k]")
+        im = fn.tmp("p[2 * k + 1]")
+        rr, ri = fn.cmul(re, im, "scale", "0")
+        fn.store("p[2 * k]", rr)
+        fn.store("p[2 * k + 1]", ri)
+    args = f"{ctype}* restrict p, long n, {ctype} scale"
+    head = [f"static {_NOINLINE} scale_{ctype[0]}({args}) {{"]
+    return "\n".join(head + fn.lines + ["}"])
+
+
+def _emit_step5(nx, ctype="float"):
+    """Source text of the exported step-5 kernel for ``nx``-point lines.
+
+    Rows run in chunks of :data:`STEP5_CHUNK` elements; a ``scale`` other
+    than 1 is applied to each finished chunk while it is still in cache.
+    The line transform itself is a separate function, so it compiles
+    exactly as it would with no scale at all.
+    """
+    chunk = max(1, STEP5_CHUNK // nx)
+    t = ctype[0]
+    args = [
+        f"{ctype}* restrict data",
+        f"const {ctype}* restrict w",
+        f"const {ctype}* restrict ctab",
+        "long rows",
+        f"{ctype} sgn",
+        f"{ctype} scale",
+    ]
+    return "\n".join([
+        f"void s5_{nx}_{t}({', '.join(args)}) {{",
+        f"    for (long r0 = 0; r0 < rows; r0 += {chunk}) {{",
+        f"        const long n = rows - r0 < {chunk} ? rows - r0 : {chunk};",
+        f"        {ctype}* restrict block = data + r0 * {2 * nx};",
+        f"        s5_rows_{nx}_{t}(block, w, ctab, n, sgn);",
+        "        if (scale != 1) {",
+        f"            scale_{t}(block, n * {nx}, scale);",
+        "        }",
+        "    }",
+        "}",
+    ])
 
 
 _C_PRELUDE = """\
@@ -352,10 +412,12 @@ def c_module(ctype: str = "float", cmul: str = "fma") -> str:
     normally the output of the runtime probe against the running NumPy
     build.
     """
-    parts = [_C_PRELUDE.format(ctype=ctype, cmul=cmul)]
+    # The static helpers come first, ahead of every exported kernel.
+    parts = [_C_PRELUDE.format(ctype=ctype, cmul=cmul), _emit_scale(ctype, cmul)]
+    parts += [_emit_step5_rows(nx, ctype, cmul) for nx in STEP5_SIZES]
     for radix in CODELET_RADICES:
         parts.append(_emit_multirow(radix, "a", ctype, cmul))
         parts.append(_emit_multirow(radix, "b", ctype, cmul))
     for nx in STEP5_SIZES:
-        parts.append(_emit_step5(nx, ctype, cmul))
+        parts.append(_emit_step5(nx, ctype))
     return "\n\n".join(parts) + "\n"

@@ -110,6 +110,55 @@ class TestZeroSteadyStateAllocation:
         # buffer (and independent of the iteration count).
         assert net < out.nbytes
 
+    @pytest.mark.parametrize("backend", ["numpy", "cjit"])
+    def test_api_forward_into_out_steady_state(self, backend):
+        # The zero-copy API path on top of the pooled plan: with out= a
+        # warm forward allocates no result array and no staging buffer,
+        # and never misses the workspace.
+        shape = (32, 32, 32)
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            np.complex64
+        )
+        out = np.empty(shape, np.complex64)
+        untraced = [tracemalloc.Filter(False, tracemalloc.__file__)]
+
+        def transforms(plan, n=100):
+            for _ in range(n):
+                plan.simulator.reset_clock()  # the timeline grows by design
+                assert plan.forward(x, out=out) is out
+            gc.collect()
+
+        with GpuFFT3D(shape, backend=backend) as plan:
+            for _ in range(3):  # warm the arena, the plan and any lazy caches
+                plan.forward(x, out=out)
+            before = plan.workspace.stats
+            gc.collect()
+            tracemalloc.start()
+            transforms(plan)
+            base = tracemalloc.take_snapshot().filter_traces(untraced)
+            transforms(plan)
+            growth = tracemalloc.take_snapshot().filter_traces(untraced)
+            growth = growth.compare_to(base, "lineno")
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            plan.forward(x, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            after = plan.workspace.stats
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+        net = sum(d.size_diff for d in growth if d.size_diff > 0)
+        # 100 more transforms leave nothing behind but a few interpreter
+        # and ctypes cache entries: far below one byte of grid per call.
+        assert net < 8192, growth[:5]
+        if plan._plan.backend == "cjit":
+            # Not even a transient grid-sized allocation inside one
+            # transform (the NumPy codelets build per-step temporaries,
+            # so only cjit is held to this).
+            assert peak - held < out.nbytes // 2
+        np.testing.assert_allclose(out, np.fft.fftn(x), rtol=1e-4, atol=1e-3)
+
     def test_api_steady_state_hit_rate(self):
         shape = (16, 16, 16)
         x = (np.ones(shape) + 1j).astype(np.complex64)

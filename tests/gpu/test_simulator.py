@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.access import BurstPattern
+from repro.gpu.faults import AllocationError, FaultInjector, FaultSpec
 from repro.gpu.isa import InstructionMix
 from repro.gpu.kernel import KernelSpec, MemoryAccessSpec
 from repro.gpu.simulator import DeviceMemoryError, DeviceSimulator
@@ -31,6 +32,18 @@ class TestAllocator:
         sim = DeviceSimulator(GEFORCE_8800_GT)  # 512 MB card
         with pytest.raises(DeviceMemoryError, match="out-of-core"):
             sim.allocate((512, 512, 512), np.complex64)  # 1 GB
+
+    def test_capacity_checked_before_host_storage(self):
+        # 64 GiB: far beyond the card, and beyond most hosts too.  The
+        # device refusal (with its out-of-core hint) must come first, and
+        # before the injector is consulted, so fault schedules stay put.
+        inj = FaultInjector([FaultSpec("alloc-fail", at_ops=(0,))], seed=1)
+        sim = DeviceSimulator(GEFORCE_8800_GTX, fault_injector=inj)
+        with pytest.raises(DeviceMemoryError, match="out-of-core"):
+            sim.allocate((2048, 2048, 2048), np.complex64, "huge")
+        assert inj.fired_counts == {}
+        with pytest.raises(AllocationError):  # at_ops=(0,) still unspent
+            sim.allocate((4,), np.complex64, "small")
 
     def test_512cubed_needs_out_of_core_even_on_gtx(self, sim):
         # The Section 3.3 motivation: 512^3 + work buffer > 768 MB.
@@ -121,6 +134,23 @@ class TestTransfers:
         dev = sim.allocate((8,), np.complex64, "d")
         with pytest.raises(ValueError):
             sim.h2d(np.zeros(16, np.complex64), dev)
+
+    def test_alias_transfer_is_charged_but_moves_nothing(self, rng):
+        host = (rng.standard_normal(64) + 0j).astype(np.complex64)
+        events = []
+        for aliased in (False, True):
+            sim = DeviceSimulator(GEFORCE_8800_GTX)
+            dev = sim.allocate((64,), np.complex64, "d")
+            target = dev.alias(host) if aliased else dev
+            assert (target.name, target.base) == (dev.name, dev.base)
+            sim.h2d(host, target, "up")
+            sim.d2h(target, host, "down")
+            events.append([
+                (e.kind, e.label, e.seconds, e.bytes_moved, e.start, e.stream)
+                for e in sim.events()
+            ])
+        assert events[0] == events[1]
+        assert not dev.data.any()  # the aliased upload left the buffer alone
 
     def test_transfer_seconds_accumulate(self, sim):
         host = np.zeros(1024, np.complex64)
