@@ -135,8 +135,7 @@ class _ClusterHealthView:
         for node in self._cluster.nodes:
             if not node.alive:
                 continue
-            monitor = node.server.health
-            if monitor is None or monitor.any_dispatchable():
+            if node.server.health.any_dispatchable():
                 return True
         return False
 
@@ -178,7 +177,7 @@ class FFTCluster:
         device: DeviceSpec = GEFORCE_8800_GTX,
         interconnect: ClusterInterconnect | None = None,
         fault_injector: FaultInjector | Sequence[FaultInjector] | None = None,
-        health: HealthPolicy | bool | None = None,
+        health: HealthPolicy | None = None,
         coalesce: CoalescePolicy | None = None,
         max_depth: int = 256,
         serial_dispatch: bool = False,
@@ -613,11 +612,8 @@ class FFTCluster:
             snap.submitted += stats.submitted
             if node.alive:
                 snap.queue_depth += stats.queue_depth
-                if stats.worker_health:
-                    for wid, state in stats.worker_health.items():
-                        snap.worker_health[f"{node.name}/w{wid}"] = state
-                else:
-                    snap.worker_health[node.name] = "healthy"
+                for wid, state in stats.worker_health.items():
+                    snap.worker_health[f"{node.name}/w{wid}"] = state
             else:
                 snap.worker_health[node.name] = "dead"
         return snap

@@ -27,7 +27,6 @@ evicted once ``max_entries`` is exceeded.  Evictions are counted in
 
 from __future__ import annotations
 
-import inspect
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -104,8 +103,7 @@ class PlanCache:
         self._evictions = 0
         self._compiles = 0
         self._by_backend: dict[str, list[int]] = {}
-        self._observers: list[Callable[[str], None]] = []
-        self._observer_kwargs: set[int] = set()
+        self._observers: list[Callable[..., None]] = []
         self._scope = threading.local()
 
     # ------------------------------------------------------------------
@@ -140,48 +138,33 @@ class PlanCache:
         finally:
             self._scope.label = prev
 
-    def add_observer(self, fn: Callable[[str], None]) -> Callable[[str], None]:
-        """Subscribe ``fn`` to plan requests; it receives ``"hits"``/``"misses"``.
+    def add_observer(self, fn: Callable[..., None]) -> Callable[..., None]:
+        """Subscribe ``fn`` to cache events, called as ``fn(outcome, **info)``.
 
-        One call per :meth:`five_step` request (the same accounting the
-        :attr:`stats` counters keep), made outside the cache lock so the
-        observer may consult the cache re-entrantly.  Returns ``fn`` as
-        the handle for :meth:`remove_observer`.  This is how a
+        ``outcome`` is ``"hits"``/``"misses"`` once per :meth:`five_step`
+        request (the same accounting the :attr:`stats` counters keep),
+        ``"evictions"`` and ``"compiles"``.  Every event carries
+        ``backend=`` (the resolved plan backend); ``"compiles"`` also
+        carries ``seconds=``.  Calls are made outside the cache lock so
+        the observer may consult the cache re-entrantly.  Returns ``fn``
+        as the handle for :meth:`remove_observer`.  This is how a
         :class:`repro.obs.Profiler` keeps live hit/miss counters.
-
-        Observers whose signature accepts keyword arguments additionally
-        receive ``backend=`` (the resolved plan backend) on every event
-        and ``seconds=`` on ``"compiles"`` events; single-argument
-        observers keep the original protocol.
         """
-        try:
-            inspect.signature(fn).bind("outcome", backend=None, seconds=None)
-            wants_kwargs = True
-        except TypeError:
-            wants_kwargs = False
         with self._lock:
             self._observers.append(fn)
-            if wants_kwargs:
-                self._observer_kwargs.add(id(fn))
         return fn
 
-    def remove_observer(self, fn: Callable[[str], None]) -> None:
+    def remove_observer(self, fn: Callable[..., None]) -> None:
         """Unsubscribe a :meth:`add_observer` handle (idempotent)."""
         with self._lock:
             if fn in self._observers:
                 self._observers.remove(fn)
-                self._observer_kwargs.discard(id(fn))
 
     def _notify(self, outcome: str, **info) -> None:
         with self._lock:
-            observers = [
-                (fn, id(fn) in self._observer_kwargs) for fn in self._observers
-            ]
-        for fn, wants_kwargs in observers:
-            if wants_kwargs:
-                fn(outcome, **info)
-            else:
-                fn(outcome)
+            observers = list(self._observers)
+        for fn in observers:
+            fn(outcome, **info)
 
     def five_step(
         self, shape, precision: str, device: DeviceSpec, backend: str = "numpy"
@@ -233,8 +216,7 @@ class PlanCache:
 
         Called by :meth:`FiveStepPlan.ensure_compiled` after a successful
         warm-up so profilers surface ``plan_cache.compiles`` alongside
-        the hit/miss feed (with ``backend=``/``seconds=`` detail for
-        keyword-aware observers).
+        the hit/miss feed (with ``backend=``/``seconds=`` detail).
         """
         with self._lock:
             self._compiles += 1

@@ -70,7 +70,6 @@ from repro.gpu.faults import (
 )
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.simulator import DeviceArray, DeviceSimulator
-from repro.gpu.timing import KernelTiming
 from repro.util.units import flops_3d_fft
 from repro.util.validation import as_complex_array
 
@@ -260,12 +259,11 @@ class ResilientExecutor:
     across the bus and re-sent on mismatch; aborted transfers, rejected
     launches and transient allocation failures are retried under the
     :class:`RetryPolicy`; all backoff waits are charged to the simulated
-    timeline.  Transfers and launches take an optional ``stream``:
-    ``None`` runs the simulator's synchronous operation, an int its
-    ``async_*`` twin on that stream, so the single-transform and the
-    pipelined batch engines share every retry loop.  Device loss is
-    *not* retried here — it needs plan-level recovery (checkpoints,
-    re-planning), so :class:`~repro.gpu.faults.DeviceLostError`
+    timeline.  Transfers and launches take an optional ``stream`` and
+    hand it to the simulator unchanged (``None`` is the default stream),
+    so the single-transform and the pipelined batch engines share every
+    retry loop.  Device loss is *not* retried here — it needs plan-level
+    recovery (checkpoints, re-planning), so :class:`~repro.gpu.faults.DeviceLostError`
     propagates to the caller, which recovers through
     :meth:`reset_device`.
 
@@ -358,8 +356,7 @@ class ResilientExecutor:
     ) -> float:
         """Checksummed host->device copy with bounded retries.
 
-        Returns what the simulator's copy returns: its seconds, or on a
-        ``stream`` its completion time.  Checksums exist to catch
+        Returns the copy's simulated seconds.  Checksums exist to catch
         *injected* transfer corruption; with no fault injector attached
         to the simulator nothing can corrupt the payload, so the CRC
         passes (two full passes over the data per hop) are skipped.  The
@@ -372,12 +369,10 @@ class ResilientExecutor:
             if self.sim.faults is not None
             else None
         )
-        copy = (
-            partial(self.sim.h2d, host, dev, label)
-            if stream is None
-            else partial(self.sim.async_h2d, host, dev, stream, label)
+        return self._transfer(
+            partial(self.sim.h2d, host, dev, label, stream=stream),
+            dev.data, expected, f"h2d {label!r}",
         )
-        return self._transfer(copy, dev.data, expected, f"h2d {label!r}")
 
     def d2h(
         self,
@@ -395,12 +390,10 @@ class ResilientExecutor:
             if self.sim.faults is not None
             else None
         )
-        copy = (
-            partial(self.sim.d2h, dev, host, label)
-            if stream is None
-            else partial(self.sim.async_d2h, dev, host, stream, label)
+        return self._transfer(
+            partial(self.sim.d2h, dev, host, label, stream=stream),
+            host, expected, f"d2h {label!r}",
         )
-        return self._transfer(copy, host, expected, f"d2h {label!r}")
 
     # ------------------------------------------------------------------
     # Launches
@@ -408,14 +401,12 @@ class ResilientExecutor:
 
     def launch(
         self, spec: KernelSpec, body=None, *args, stream: int | None = None, **kwargs
-    ) -> KernelTiming:
-        """Launch a spec'd kernel (on ``stream`` if given), retrying rejections."""
-        op = (
-            partial(self.sim.launch, spec, body, *args, **kwargs)
-            if stream is None
-            else partial(self.sim.async_launch, spec, stream, body, *args, **kwargs)
+    ) -> float:
+        """Launch a spec'd kernel on ``stream``, retrying rejections."""
+        return self._retry(
+            partial(self.sim.launch, spec, body, *args, stream=stream, **kwargs),
+            {KernelLaunchError: "launch"},
         )
-        return self._retry(op, {KernelLaunchError: "launch"})
 
     def launch_timed(
         self, label: str, seconds: float, body=None, *args, **kwargs

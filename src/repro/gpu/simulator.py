@@ -13,18 +13,19 @@ allocating a 512^3 complex grid on a 512 MB card raises
 out-of-core algorithm (Section 3.3).
 
 Time is accounted on a *scheduled* timeline: every event carries a start
-time and a duration.  The legacy synchronous surface (:meth:`h2d`,
-:meth:`d2h`, :meth:`launch`, :meth:`charge`) behaves like the CUDA default
-stream — each operation begins when everything before it has finished, so
-``elapsed`` degenerates to the plain sum of durations.  The asynchronous
-surface (:meth:`async_h2d`, :meth:`async_d2h`, :meth:`async_launch`,
-:meth:`async_launch_timed`) models numbered streams fed into three
-hardware engines — the H2D copy engine, the compute engine and the D2H
-copy engine.  Operations on one stream are ordered; operations on one
-engine serialize; everything else overlaps, which is exactly the
-"asynchronous transfers" overlap the paper points at in Section 4.4 and
-what the batched pipeline in :mod:`repro.core.batch` exploits: while
-cube ``i`` computes, cube ``i+1`` uploads and cube ``i-1`` downloads.
+time and a duration.  Each device operation (:meth:`h2d`, :meth:`d2h`,
+:meth:`launch`, :meth:`launch_timed`) is one method with a ``stream``
+argument, as in CUDA.  ``stream=None`` is the default stream — the
+operation begins when everything before it has finished and everything
+after it waits, so a purely default-stream workload's ``elapsed`` is the
+plain sum of durations (:meth:`charge` behaves the same way).  An integer
+names a numbered stream fed into three hardware engines — the H2D copy
+engine, the compute engine and the D2H copy engine.  Operations on one
+stream are ordered; operations on one engine serialize; everything else
+overlaps, which is exactly the "asynchronous transfers" overlap the paper
+points at in Section 4.4 and what the batched pipeline in
+:mod:`repro.core.batch` exploits: while cube ``i`` computes, cube ``i+1``
+uploads and cube ``i-1`` downloads.
 
 An optional :class:`~repro.gpu.faults.FaultInjector` hook makes every
 operation fallible: transfers can abort or corrupt, launches can be
@@ -67,7 +68,7 @@ from repro.gpu.kernel import KernelSpec, LaunchResult
 from repro.gpu.memsystem import MemorySystem
 from repro.gpu.pcie import PcieLink, link_for
 from repro.gpu.specs import DeviceSpec
-from repro.gpu.timing import KernelTiming, time_kernel
+from repro.gpu.timing import time_kernel
 
 __all__ = [
     "DeviceMemoryError",
@@ -138,7 +139,7 @@ class TimelineEvent:
         return self.start + self.seconds
 
 
-#: Engine each event kind occupies in the async schedule.
+#: Engine each event kind occupies on a numbered stream.
 _ENGINES = ("h2d", "d2h", "compute")
 
 #: Signature of a record hook: the freshly recorded event plus the
@@ -383,13 +384,27 @@ class DeviceSimulator:
         for s in self._stream_cursor:
             self._stream_cursor[s] = self._horizon
 
-    def _async_start(self, stream: int, engine: str) -> float:
-        """Issue time on ``stream``: after its prior ops and the engine."""
+    def _issue(self, stream: int | None, engine: str) -> float:
+        """Start time of an operation on ``engine`` issued to ``stream``.
+
+        The default stream (``None``) starts at the wall clock; a numbered
+        stream starts once its prior work and the engine are both free.
+        """
+        if stream is None:
+            return self._horizon
         return max(self._stream_cursor.get(stream, 0.0), self._engine_cursor[engine])
 
-    def _advance(self, stream: int, engine: str, end: float) -> None:
-        self._stream_cursor[stream] = end
-        self._engine_cursor[engine] = end
+    def _retire(self, stream: int | None, engine: str, end: float) -> None:
+        """Advance the cursors past an operation that ended at ``end``.
+
+        The default stream joins everything; a numbered stream advances
+        only itself and the engine it occupied.
+        """
+        if stream is None:
+            self._sync_cursors()
+        else:
+            self._stream_cursor[stream] = end
+            self._engine_cursor[engine] = end
 
     def record_event(self, stream: int = 0) -> float:
         """Timestamp after all work issued on ``stream`` so far (cudaEventRecord)."""
@@ -410,12 +425,7 @@ class DeviceSimulator:
     # ------------------------------------------------------------------
 
     def _transfer_fault(
-        self,
-        label: str,
-        n_bytes: int,
-        direction: str,
-        start: float,
-        stream: int | None = None,
+        self, label: str, n_bytes: int, direction: str, start: float, stream: int | None
     ) -> str | None:
         if self.faults is None:
             return None
@@ -426,10 +436,7 @@ class DeviceSimulator:
                 direction, label, t, start=start, bytes_moved=n_bytes,
                 faulted=True, stream=stream,
             )
-            if stream is None:
-                self._sync_cursors()
-            else:
-                self._advance(stream, direction, start + t)
+            self._retire(stream, direction, start + t)
             if fault == "device-lost":
                 raise self._lose_device(f"{direction} {label!r}")
             raise TransferError(
@@ -437,94 +444,64 @@ class DeviceSimulator:
             )
         return fault
 
-    def _check_sizes(self, host: np.ndarray, dev: DeviceArray, direction: str) -> None:
-        if host.nbytes != dev.nbytes:
-            a, b = ("host", "device") if direction == "h2d" else ("device", "host")
-            first = host.nbytes if direction == "h2d" else dev.nbytes
-            second = dev.nbytes if direction == "h2d" else host.nbytes
-            raise ValueError(f"size mismatch: {a} {first} B vs {b} {second} B")
-
-    def _do_h2d(
-        self, host: np.ndarray, dev: DeviceArray, label: str,
-        start: float, stream: int | None,
+    def _copy(
+        self, direction: str, host: np.ndarray, dev: DeviceArray, label: str,
+        stream: int | None,
     ) -> float:
+        """Move one payload across the link in ``direction``; returns seconds."""
+        start = self._issue(stream, direction)
         self._check_alive()
-        self._check_sizes(host, dev, "h2d")
-        fault = self._transfer_fault(label, host.nbytes, "h2d", start, stream)
-        if dev.data is not host:  # an alias already holds the payload
-            np.copyto(dev.data, host.reshape(dev.shape).astype(dev.dtype, copy=False))
+        if direction == "h2d":
+            src, dst, names = host, dev.data, ("host", "device")
+        else:
+            src, dst, names = dev.data, host, ("device", "host")
+        if src.nbytes != dst.nbytes:
+            raise ValueError(
+                f"size mismatch: {names[0]} {src.nbytes} B vs {names[1]} {dst.nbytes} B"
+            )
+        fault = self._transfer_fault(label, src.nbytes, direction, start, stream)
+        if src is not dst:  # an alias already holds the payload
+            np.copyto(dst, src.reshape(dst.shape).astype(dst.dtype, copy=False))
         corrupted = fault == "transfer-corrupt"
         if corrupted:
             assert self.faults is not None
-            self.faults.corrupt(dev.data)
-        t = self.pcie.transfer_time(host.nbytes, "h2d")
+            self.faults.corrupt(dst)
+        t = self.pcie.transfer_time(src.nbytes, direction)
         self._record(
-            "h2d", label, t, start=start, bytes_moved=host.nbytes,
+            direction, label, t, start=start, bytes_moved=src.nbytes,
             faulted=corrupted, stream=stream,
         )
+        self._retire(stream, direction, start + t)
         return t
 
-    def _do_d2h(
-        self, dev: DeviceArray, host: np.ndarray, label: str,
-        start: float, stream: int | None,
+    def h2d(
+        self, host: np.ndarray, dev: DeviceArray, label: str = "h2d",
+        *, stream: int | None = None,
     ) -> float:
-        self._check_alive()
-        self._check_sizes(host, dev, "d2h")
-        fault = self._transfer_fault(label, dev.nbytes, "d2h", start, stream)
-        if dev.data is not host:
-            np.copyto(host, dev.data.reshape(host.shape).astype(host.dtype, copy=False))
-        corrupted = fault == "transfer-corrupt"
-        if corrupted:
-            assert self.faults is not None
-            self.faults.corrupt(host)
-        t = self.pcie.transfer_time(dev.nbytes, "d2h")
-        self._record(
-            "d2h", label, t, start=start, bytes_moved=dev.nbytes,
-            faulted=corrupted, stream=stream,
-        )
-        return t
+        """Copy host -> device; returns simulated seconds.
 
-    def h2d(self, host: np.ndarray, dev: DeviceArray, label: str = "h2d") -> float:
-        """Copy host -> device synchronously; returns simulated seconds."""
-        t = self._do_h2d(host, dev, label, self._horizon, None)
-        self._sync_cursors()
-        return t
-
-    def d2h(self, dev: DeviceArray, host: np.ndarray, label: str = "d2h") -> float:
-        """Copy device -> host synchronously; returns simulated seconds."""
-        t = self._do_d2h(dev, host, label, self._horizon, None)
-        self._sync_cursors()
-        return t
-
-    def async_h2d(
-        self, host: np.ndarray, dev: DeviceArray, stream: int = 0, label: str = "h2d"
-    ) -> float:
-        """Copy host -> device on ``stream``; returns its completion time.
-
-        Starts once the stream's prior work and the H2D copy engine are
-        both free; overlaps with compute and D2H traffic on other streams.
+        On the default stream (``None``) the copy starts when everything
+        before it has finished; on a numbered stream it starts once that
+        stream's prior work and the H2D copy engine are both free, and
+        overlaps compute and D2H traffic on other streams.
         """
-        start = self._async_start(stream, "h2d")
-        t = self._do_h2d(host, dev, label, start, stream)
-        self._advance(stream, "h2d", start + t)
-        return start + t
+        return self._copy("h2d", host, dev, label, stream)
 
-    def async_d2h(
-        self, dev: DeviceArray, host: np.ndarray, stream: int = 0, label: str = "d2h"
+    def d2h(
+        self, dev: DeviceArray, host: np.ndarray, label: str = "d2h",
+        *, stream: int | None = None,
     ) -> float:
-        """Copy device -> host on ``stream``; returns its completion time."""
-        start = self._async_start(stream, "d2h")
-        t = self._do_d2h(dev, host, label, start, stream)
-        self._advance(stream, "d2h", start + t)
-        return start + t
+        """Copy device -> host; returns simulated seconds.
+
+        ``stream`` places the copy as in :meth:`h2d`, on the D2H engine.
+        """
+        return self._copy("d2h", host, dev, label, stream)
 
     # ------------------------------------------------------------------
     # Kernel launches
     # ------------------------------------------------------------------
 
-    def _launch_fault(
-        self, label: str, start: float, stream: int | None = None
-    ) -> str | None:
+    def _launch_fault(self, label: str, start: float, stream: int | None) -> str | None:
         if self.faults is None:
             return None
         fault = self.faults.on_launch(label)
@@ -533,10 +510,7 @@ class DeviceSimulator:
             self._record(
                 "kernel", label, t, start=start, faulted=True, stream=stream
             )
-            if stream is None:
-                self._sync_cursors()
-            else:
-                self._advance(stream, "compute", start + t)
+            self._retire(stream, "compute", start + t)
             if fault == "device-lost":
                 raise self._lose_device(f"launch {label!r}")
             raise KernelLaunchError(f"launch of {label!r} rejected")
@@ -549,78 +523,55 @@ class DeviceSimulator:
             victim = self.faults.choose(sorted(self._arrays))
             self.faults.corrupt(self._arrays[victim].data)
 
-    def _do_launch(
+    def _kernel(
         self,
-        spec: KernelSpec,
+        label: str,
+        spec: KernelSpec | None,
+        seconds: float,
         body: Callable[..., None] | None,
         args,
         kwargs,
-        start: float,
         stream: int | None,
-    ) -> KernelTiming:
+    ) -> float:
+        """Run one kernel on the compute engine; returns its seconds.
+
+        A ``spec`` is timed by :func:`time_kernel` (after the fault check)
+        and charges its bytes and flops; without one the charge is the
+        given ``seconds``.
+        """
+        start = self._issue(stream, "compute")
         self._check_alive()
-        fault = self._launch_fault(spec.name, start, stream)
-        timing = time_kernel(self.device, spec, self.memsystem)
+        fault = self._launch_fault(label, start, stream)
+        if spec is not None:
+            seconds = time_kernel(self.device, spec, self.memsystem).seconds
         if body is not None:
             body(*args, **kwargs)
         if fault == "ecc-bitflip":
             self._ecc_upset()
         self._record(
-            "kernel", spec.name, timing.seconds, start=start,
-            bytes_moved=spec.total_bytes, flops=spec.total_flops, stream=stream,
+            "kernel", label, seconds, start=start,
+            bytes_moved=spec.total_bytes if spec is not None else 0,
+            flops=spec.total_flops if spec is not None else 0.0,
+            stream=stream,
         )
-        return timing
+        self._retire(stream, "compute", start + seconds)
+        return seconds
 
     def launch(
         self,
         spec: KernelSpec,
         body: Callable[..., None] | None = None,
         *args,
+        stream: int | None = None,
         **kwargs,
-    ) -> KernelTiming:
+    ) -> float:
         """Run a kernel: execute its functional body, charge its timing.
 
         ``body`` receives ``*args``/``**kwargs`` (typically DeviceArrays'
         ``.data``) and mutates them in place, exactly like a CUDA kernel.
+        ``stream`` schedules it as in :meth:`h2d`.  Returns its seconds.
         """
-        timing = self._do_launch(spec, body, args, kwargs, self._horizon, None)
-        self._sync_cursors()
-        return timing
-
-    def async_launch(
-        self,
-        spec: KernelSpec,
-        stream: int = 0,
-        body: Callable[..., None] | None = None,
-        *args,
-        **kwargs,
-    ) -> KernelTiming:
-        """Launch a kernel on ``stream``: ordered there, overlaps elsewhere."""
-        start = self._async_start(stream, "compute")
-        timing = self._do_launch(spec, body, args, kwargs, start, stream)
-        self._advance(stream, "compute", start + timing.seconds)
-        return timing
-
-    def _do_launch_timed(
-        self,
-        label: str,
-        seconds: float,
-        body: Callable[..., None] | None,
-        args,
-        kwargs,
-        start: float,
-        stream: int | None,
-    ) -> float:
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self._check_alive()
-        fault = self._launch_fault(label, start, stream)
-        if body is not None:
-            body(*args, **kwargs)
-        if fault == "ecc-bitflip":
-            self._ecc_upset()
-        self._record("kernel", label, seconds, start=start, stream=stream)
-        return seconds
+        return self._kernel(spec.name, spec, 0.0, body, args, kwargs, stream)
 
     def launch_timed(
         self,
@@ -628,6 +579,7 @@ class DeviceSimulator:
         seconds: float,
         body: Callable[..., None] | None = None,
         *args,
+        stream: int | None = None,
         **kwargs,
     ) -> float:
         """Launch with externally-computed timing (estimator results).
@@ -638,24 +590,9 @@ class DeviceSimulator:
         out-of-core pipeline, whose per-phase times come from the
         Table 12 estimator.
         """
-        t = self._do_launch_timed(label, seconds, body, args, kwargs, self._horizon, None)
-        self._sync_cursors()
-        return t
-
-    def async_launch_timed(
-        self,
-        label: str,
-        seconds: float,
-        stream: int = 0,
-        body: Callable[..., None] | None = None,
-        *args,
-        **kwargs,
-    ) -> float:
-        """:meth:`launch_timed` on a numbered stream."""
-        start = self._async_start(stream, "compute")
-        t = self._do_launch_timed(label, seconds, body, args, kwargs, start, stream)
-        self._advance(stream, "compute", start + t)
-        return t
+        if seconds < 0:
+            raise ValueError("seconds must be non-negative")
+        return self._kernel(label, None, seconds, body, args, kwargs, stream)
 
     def charge(self, label: str, seconds: float, kind: str = "kernel") -> None:
         """Record externally-computed time (e.g. an estimator result)."""

@@ -206,6 +206,83 @@ def reference_digests(reqs: list[FFTRequest]) -> list[str]:
     return digests
 
 
+@dataclass
+class _Tally:
+    """What became of every submission — the counts both drills report."""
+
+    accepted: int = 0
+    rejected: int = 0
+    unresolved: int = 0
+    completed: int = 0
+    completed_faulted: int = 0
+    failed: int = 0
+    failure_kinds: dict[str, int] = field(default_factory=dict)
+    #: Non-faulted results compared against the fault-free digest.
+    checked: int = 0
+    mismatches: int = 0
+    requeued_done: int = 0
+    requeued_unresolved: int = 0
+
+    @classmethod
+    def of(cls, outcomes: list[FFTFuture | str], refs: list[str]) -> "_Tally":
+        """Tally one outcome (a future or a rejection reason) per request."""
+        t = cls()
+        for o, ref in zip(outcomes, refs):
+            if isinstance(o, str):
+                t.rejected += 1
+                continue
+            t.accepted += 1
+            if o.requeues:
+                if o.done():
+                    t.requeued_done += 1
+                else:
+                    t.requeued_unresolved += 1
+            if not o.done():
+                t.unresolved += 1
+                continue
+            exc = o.exception()
+            if exc is not None:
+                t.failed += 1
+                kind = type(exc).__name__
+                t.failure_kinds[kind] = t.failure_kinds.get(kind, 0) + 1
+                continue
+            t.completed += 1
+            if o.faulted:
+                t.completed_faulted += 1
+                continue
+            t.checked += 1
+            digest = hashlib.sha256(
+                np.ascontiguousarray(o.result()).tobytes()
+            ).hexdigest()
+            if digest != ref:
+                t.mismatches += 1
+        return t
+
+    def counts(self) -> dict:
+        """The outcome counts of a drill summary's ``counts`` block."""
+        return {
+            "completed": self.completed,
+            "completed_faulted": self.completed_faulted,
+            "failed": self.failed,
+            "rejected": self.rejected,
+            "failure_kinds": dict(sorted(self.failure_kinds.items())),
+        }
+
+    def violations(self, leftover_depth: int) -> list[str]:
+        """Lost work and bit-identity breaks (invariants of every drill)."""
+        out = []
+        if self.unresolved:
+            out.append(f"{self.unresolved} futures never resolved (lost work)")
+        if leftover_depth:
+            out.append(f"{leftover_depth} tickets stranded in the queue")
+        if self.mismatches:
+            out.append(
+                f"{self.mismatches}/{self.checked} non-faulted results differ "
+                "from the fault-free reference"
+            )
+        return out
+
+
 def run_drill(cfg: DrillConfig) -> DrillResult:
     """One full drill: build, bombard, drain, check every invariant."""
     reqs = build_requests(cfg)
@@ -237,7 +314,6 @@ def run_drill(cfg: DrillConfig) -> DrillResult:
         server.drain()
         stats = server.stats()
         monitor = server.health
-        assert monitor is not None
         transitions = [
             {
                 "worker": t.worker,
@@ -252,45 +328,8 @@ def run_drill(cfg: DrillConfig) -> DrillResult:
         health_snap = {str(k): v for k, v in monitor.snapshot().items()}
         leftover_depth = server.queue.depth
 
-    # ------------------------------------------------------------------
-    # Invariants
-    # ------------------------------------------------------------------
-    violations: list[str] = []
-    rejected = sum(1 for o in outcomes if isinstance(o, str))
-    futures = [o for o in outcomes if not isinstance(o, str)]
-    unresolved = sum(1 for f in futures if not f.done())
-    if unresolved:
-        violations.append(f"{unresolved} futures never resolved (lost work)")
-    if leftover_depth:
-        violations.append(f"{leftover_depth} tickets stranded in the queue")
-
-    completed = failed = faulted_ok = checked = mismatches = 0
-    failure_kinds: dict[str, int] = {}
-    for i, o in enumerate(outcomes):
-        if isinstance(o, str) or not o.done():
-            continue
-        exc = o.exception()
-        if exc is not None:
-            failed += 1
-            kind = type(exc).__name__
-            failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
-            continue
-        completed += 1
-        if o.faulted:
-            faulted_ok += 1
-            continue
-        checked += 1
-        digest = hashlib.sha256(
-            np.ascontiguousarray(o.result()).tobytes()
-        ).hexdigest()
-        if digest != refs[i]:
-            mismatches += 1
-    if mismatches:
-        violations.append(
-            f"{mismatches}/{checked} non-faulted results differ from the "
-            "fault-free reference"
-        )
-
+    tally = _Tally.of(outcomes, refs)
+    violations = tally.violations(leftover_depth)
     device_losses = sum(
         1 for t in transitions if t["reason"] == "DeviceLostError"
     )
@@ -311,12 +350,8 @@ def run_drill(cfg: DrillConfig) -> DrillResult:
         },
         "counts": {
             "submitted": stats.submitted,
-            "completed": completed,
-            "completed_faulted": faulted_ok,
-            "failed": failed,
-            "rejected": rejected,
+            **tally.counts(),
             "rejected_reasons": dict(sorted(stats.rejected.items())),
-            "failure_kinds": dict(sorted(failure_kinds.items())),
             "requeued": stats.requeued,
             "batches": stats.batches,
             "expired": stats.expired,
@@ -328,9 +363,9 @@ def run_drill(cfg: DrillConfig) -> DrillResult:
             "operator_ejections": ejections,
         },
         "invariants": {
-            "zero_lost_futures": unresolved == 0 and leftover_depth == 0,
-            "bit_identity_checked": checked,
-            "bit_identity_mismatches": mismatches,
+            "zero_lost_futures": tally.unresolved == 0 and leftover_depth == 0,
+            "bit_identity_checked": tally.checked,
+            "bit_identity_mismatches": tally.mismatches,
             "hard_events": device_losses + ejections,
         },
     }
@@ -409,54 +444,10 @@ def run_cluster_drill(cfg: DrillConfig) -> DrillResult:
         stats = cluster.stats()
         leftover_depth = cluster.queue.depth
 
-    # ------------------------------------------------------------------
-    # Invariants
-    # ------------------------------------------------------------------
-    violations: list[str] = []
-    rejected = sum(1 for o in outcomes if isinstance(o, str))
-    futures = [o for o in outcomes if not isinstance(o, str)]
-    unresolved = sum(1 for f in futures if not f.done())
-    if unresolved:
-        violations.append(f"{unresolved} futures never resolved (lost work)")
-    if leftover_depth:
-        violations.append(f"{leftover_depth} tickets stranded in the queue")
+    tally = _Tally.of(outcomes, refs)
+    violations = tally.violations(leftover_depth)
     if stats.inflight:
         violations.append(f"{stats.inflight} entries still tracked in-flight")
-
-    completed = failed = faulted_ok = checked = mismatches = 0
-    requeued_done = requeued_unresolved = 0
-    failure_kinds: dict[str, int] = {}
-    for i, o in enumerate(outcomes):
-        if isinstance(o, str):
-            continue
-        if o.requeues:
-            if o.done():
-                requeued_done += 1
-            else:
-                requeued_unresolved += 1
-        if not o.done():
-            continue
-        exc = o.exception()
-        if exc is not None:
-            failed += 1
-            kind = type(exc).__name__
-            failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
-            continue
-        completed += 1
-        if o.faulted:
-            faulted_ok += 1
-            continue
-        checked += 1
-        digest = hashlib.sha256(
-            np.ascontiguousarray(o.result()).tobytes()
-        ).hexdigest()
-        if digest != refs[i]:
-            mismatches += 1
-    if mismatches:
-        violations.append(
-            f"{mismatches}/{checked} non-faulted results differ from the "
-            "fault-free reference"
-        )
     if stats.node_losses != 1:
         violations.append(
             f"expected exactly one node loss, saw {stats.node_losses}"
@@ -466,14 +457,14 @@ def run_cluster_drill(cfg: DrillConfig) -> DrillResult:
             "the node kill re-queued no in-flight work; move the kill "
             "point off a dispatch boundary"
         )
-    if requeued_unresolved:
+    if tally.requeued_unresolved:
         violations.append(
-            f"{requeued_unresolved} re-queued requests never resolved on "
+            f"{tally.requeued_unresolved} re-queued requests never resolved on "
             "the survivors"
         )
     survivor_failures = sum(
         n
-        for kind, n in failure_kinds.items()
+        for kind, n in tally.failure_kinds.items()
         if kind in ("RequeueExhaustedError", "ServerClosedError")
     )
     if survivor_failures:
@@ -501,13 +492,9 @@ def run_cluster_drill(cfg: DrillConfig) -> DrillResult:
             "quick": cfg.quick,
         },
         "counts": {
-            "submitted": len(futures),
-            "completed": completed,
-            "completed_faulted": faulted_ok,
-            "failed": failed,
-            "rejected": rejected,
+            "submitted": tally.accepted,
+            **tally.counts(),
             "rejected_reasons": dict(sorted(stats.rejected.items())),
-            "failure_kinds": dict(sorted(failure_kinds.items())),
             "requeued": stats.requeued,
             "requeued_at_kill": requeued_at_kill,
             "node_losses": stats.node_losses,
@@ -515,15 +502,15 @@ def run_cluster_drill(cfg: DrillConfig) -> DrillResult:
         "nodes": nodes_summary,
         "workers": dict(sorted(stats.worker_health.items())),
         "invariants": {
-            "zero_lost_futures": unresolved == 0
+            "zero_lost_futures": tally.unresolved == 0
             and leftover_depth == 0
             and stats.inflight == 0,
             "survivors_absorbed": requeued_at_kill >= 1
-            and requeued_unresolved == 0
+            and tally.requeued_unresolved == 0
             and survivor_failures == 0,
-            "bit_identity_checked": checked,
-            "bit_identity_mismatches": mismatches,
-            "requeued_futures_resolved": requeued_done,
+            "bit_identity_checked": tally.checked,
+            "bit_identity_mismatches": tally.mismatches,
+            "requeued_futures_resolved": tally.requeued_done,
         },
     }
     return DrillResult(summary=summary, violations=violations)

@@ -571,8 +571,7 @@ class Gateway:
             return self.error_response(
                 ErrorCode.DRAINING, "server is draining; admission paused"
             )
-        monitor = srv.health
-        if monitor is not None and not monitor.any_dispatchable():
+        if not srv.health.any_dispatchable():
             return self.error_response(
                 ErrorCode.UNHEALTHY,
                 "no dispatchable worker (all breakers open)",

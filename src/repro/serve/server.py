@@ -92,7 +92,7 @@ class ServeStats:
     Counters are lifetime totals; ``queue_depth``/``inflight`` are the
     live values at snapshot time.  ``rejected`` is keyed by the typed
     error's ``reason`` slug, ``per_tenant_completed`` by tenant id,
-    ``worker_health`` by worker id (empty with health monitoring off).
+    ``worker_health`` by worker id.
     """
 
     submitted: int = 0
@@ -111,7 +111,7 @@ class ServeStats:
     #: ``{0: device_elapsed_s}``.
     worker_elapsed_s: dict[int, float] = field(default_factory=dict)
     #: Health state per worker (``healthy``/``degraded``/``ejected``/
-    #: ``probation``); empty when health monitoring is disabled.
+    #: ``probation``).
     worker_health: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -166,13 +166,11 @@ class FFTServer:
         card); a sequence of exactly ``n_workers`` injectors scopes each
         worker explicitly.  Per-batch recovery (retries, host
         degradation) is the engines' existing resilient machinery;
-        device losses surface to the health layer when it is on.
+        device losses surface to the health layer.
     health:
-        Worker health monitoring.  ``None`` (default) enables it with
-        the default :class:`~repro.serve.health.HealthPolicy`; pass a
-        policy to tune thresholds, or ``False`` to disable (legacy
-        behavior: engines absorb device losses internally and nothing is
-        ever ejected or re-queued).
+        Worker health policy: breaker thresholds, probe shape and the
+        re-queue budget.  ``None`` (default) uses
+        :class:`~repro.serve.health.HealthPolicy`'s defaults.
     profiler:
         Optional :class:`repro.obs.Profiler`; serve metrics land in its
         registry and dispatches are traced via the shared simulator.
@@ -207,7 +205,7 @@ class FFTServer:
         serial_dispatch: bool = False,
         fault_injector: FaultInjector | Sequence[FaultInjector] | None = None,
         retry_policy: RetryPolicy | None = None,
-        health: HealthPolicy | bool | None = None,
+        health: HealthPolicy | None = None,
         profiler: Profiler | None = None,
         start: bool = True,
         name: str = "serve",
@@ -268,6 +266,8 @@ class FFTServer:
         self._clock = clock
         if max_resident_plans < 1:
             raise ValueError("max_resident_plans must be at least 1")
+        if health is not None and not isinstance(health, HealthPolicy):
+            raise TypeError(f"health must be a HealthPolicy or None, not {health!r}")
         self._max_resident_plans = max_resident_plans
         # Engines are scoped (worker id, plan key): each worker drives
         # its own card, so buffers are never shared across threads.
@@ -302,19 +302,15 @@ class FFTServer:
             )
             for wid in range(n_workers):
                 self._free_wids.put(wid)
-        if health is False:
-            self._health: HealthMonitor | None = None
-        else:
-            policy = health if isinstance(health, HealthPolicy) else HealthPolicy()
-            self._health = HealthMonitor(
-                n_workers,
-                policy,
-                metrics=self.metrics,
-                sims=self._sims,
-                # Transition trace events touch a worker's timeline, so
-                # they are only safe when one thread drives everything.
-                trace_events=not start and self._pool is None,
-            )
+        self._health = HealthMonitor(
+            n_workers,
+            health or HealthPolicy(),
+            metrics=self.metrics,
+            sims=self._sims,
+            # Transition trace events touch a worker's timeline, so
+            # they are only safe when one thread drives everything.
+            trace_events=not start and self._pool is None,
+        )
         self._thread: threading.Thread | None = None
         if start:
             self._thread = threading.Thread(
@@ -402,13 +398,12 @@ class FFTServer:
         snap.worker_elapsed_s = {
             wid: sim.elapsed for wid, sim in enumerate(self._sims)
         }
-        if self._health is not None:
-            snap.worker_health = self._health.states()
+        snap.worker_health = self._health.states()
         return snap
 
     @property
-    def health(self) -> HealthMonitor | None:
-        """The worker health monitor (None when disabled)."""
+    def health(self) -> HealthMonitor:
+        """The worker health monitor."""
         return self._health
 
     def eject_worker(self, wid: int, reason: str = "operator") -> None:
@@ -418,10 +413,6 @@ class FFTServer:
         and a synthetic probe passes; in-flight work on it re-queues
         through the normal failure path when it surfaces.
         """
-        if self._health is None:
-            raise RuntimeError(
-                "worker ejection needs health monitoring (health=False given)"
-            )
         if not 0 <= wid < self.n_workers:
             raise ValueError(f"no such worker: {wid}")
         self._health.eject(wid, reason)
@@ -606,7 +597,6 @@ class FFTServer:
     def _engine_for(self, wid: int, key: PlanKey, batch_size: int):
         """The execution engine for one batch (shared plans via the cache)."""
         suffix = f"-w{wid}" if self.n_workers > 1 else ""
-        raise_loss = self._health is not None
         with self._engines_lock:
             ekey = (wid, key)
             self._engine_use[ekey] = next(self._use_counter)
@@ -622,7 +612,7 @@ class FFTServer:
                         fault_injector=self._injectors[wid],
                         retry_policy=self._retry_policy,
                         profiler=self.profiler,
-                        raise_on_device_loss=raise_loss,
+                        raise_on_device_loss=True,
                         name=f"{self._name}-{key.slug}-solo{suffix}",
                         backend=self.backend,
                     )
@@ -639,17 +629,17 @@ class FFTServer:
                     retry_policy=self._retry_policy,
                     n_streams=self.n_streams,
                     profiler=self.profiler,
-                    raise_on_device_loss=raise_loss,
+                    raise_on_device_loss=True,
                     name=f"{self._name}-{key.slug}{suffix}",
                     backend=self.backend,
                 )
             return engine
 
     def _evict_cold_engines(self) -> None:
-        """Release device buffers of least-recently-used warm engines.
+        """Release device buffers and host arenas of least-recently-used engines.
 
         Engines of workers currently mid-batch are never touched — their
-        device buffers are live on another thread.
+        buffers are live on another thread.
         """
         with self._engines_lock:
             warm = sorted(
@@ -658,12 +648,10 @@ class FFTServer:
             for ekey in warm[self._max_resident_plans :]:
                 if ekey[0] in self._busy_wids:
                     continue
-                engine = self._engines.get(ekey)
-                if engine is not None:
-                    engine.close()
-                plan = self._singles.get(ekey)
-                if plan is not None:
-                    plan.release()
+                for engine in (self._engines.get(ekey), self._singles.get(ekey)):
+                    if engine is not None:
+                        engine.release()
+                        engine.workspace.clear()
 
     def _claim_worker_serial(self) -> tuple[int, str]:
         """Deterministic round-robin claim for pool-less dispatch.
@@ -673,10 +661,6 @@ class FFTServer:
         open and cooling the cursor's worker is returned in ``host``
         mode — the batch runs on the host path, which needs no card.
         """
-        if self._health is None:
-            wid = self._rr_wid
-            self._rr_wid = (wid + 1) % self.n_workers
-            return wid, "run"
         first = self._rr_wid
         for i in range(self.n_workers):
             wid = (first + i) % self.n_workers
@@ -697,8 +681,6 @@ class FFTServer:
         so the batch makes progress without touching any device.
         """
         wid = self._free_wids.get()
-        if self._health is None:
-            return wid, "run"
         while True:
             verdict = self._health.claim(wid)
             if verdict != "reject":
@@ -744,8 +726,7 @@ class FFTServer:
         if not batch:
             return bool(hopeless)
         self.queue.remove_many(key, batch)
-        if self._health is not None:
-            self._health.advance()
+        self._health.advance()
         with self._state:
             self._inflight += len(batch)
         if self._pool is None:
@@ -824,7 +805,7 @@ class FFTServer:
         now_wall = self._clock()
         sim = self._sims[wid]
         health = self._health
-        if mode == "probe" and health is not None:
+        if mode == "probe":
             ok, why = run_probe(
                 sim, health.policy.probe_shape, label=f"{self._name}-probe-w{wid}"
             )
@@ -838,7 +819,7 @@ class FFTServer:
                 )
                 return
         force_host = mode == "host"
-        if force_host and health is not None:
+        if force_host:
             health.note_forced_host(wid)
         tags = {"serve_batch": batch_id}
         if self.n_workers > 1:
@@ -865,13 +846,10 @@ class FFTServer:
                     outs = [stacked[i] for i in range(len(batch))]
             absorbed = engine.resilience.signature() != sig_before
         except FaultError as exc:
-            # The worker's card failed under the batch (device loss with
-            # health on, or a probe-visible fault): eject/degrade the
-            # worker and put the work back for the survivors.
-            if health is not None:
-                health.record_failure(
-                    wid, exc, fatal=isinstance(exc, DeviceLostError)
-                )
+            # The worker's card failed under the batch (device loss or a
+            # probe-visible fault): eject/degrade the worker and put the
+            # work back for the survivors.
+            health.record_failure(wid, exc, fatal=isinstance(exc, DeviceLostError))
             self._requeue_batch(wid, batch, exc, handled)
             return
         except Exception as exc:  # noqa: BLE001 - typed surface for clients
@@ -879,7 +857,7 @@ class FFTServer:
                 handled.add(id(t))
                 self._finish_failed(t, exc)
             return
-        if health is not None and not force_host:
+        if not force_host:
             health.record_success(wid, absorbed_faults=absorbed)
         finish = sim.elapsed
         with self._state:
@@ -945,7 +923,7 @@ class FFTServer:
         surviving workers — admission is not re-run; these requests
         already passed it.
         """
-        budget = self._health.policy.max_requeues if self._health is not None else 0
+        budget = self._health.policy.max_requeues
         device_now = self.simulator.elapsed
         requeued = 0
         for t in batch:
@@ -985,8 +963,7 @@ class FFTServer:
             self.queue.requeue(t)
             requeued += 1
         if requeued:
-            if self._health is not None:
-                self._health.note_requeue(wid, requeued)
+            self._health.note_requeue(wid, requeued)
             with self._state:
                 self._stats.requeued += requeued
             self.metrics.counter("serve.requeue.requests", "requests").inc(

@@ -240,17 +240,12 @@ class TestBackendKeying:
             events.append((outcome, backend, seconds))
 
         cache.add_observer(observer)
+        cache.five_step((32, 32, 32), "single", GEFORCE_8800_GTX)
+        cache.five_step((32, 32, 32), "single", GEFORCE_8800_GTX)
         cache.record_compile("cjit", 0.25)
         assert cache.stats.compiles == 1
+        assert [e[0] for e in events] == ["misses", "hits", "compiles"]
         assert ("compiles", "cjit", 0.25) in events
-
-    def test_legacy_single_arg_observers_still_work(self, cache):
-        outcomes = []
-        cache.add_observer(outcomes.append)
-        cache.five_step((32, 32, 32), "single", GEFORCE_8800_GTX)
-        cache.five_step((32, 32, 32), "single", GEFORCE_8800_GTX)
-        cache.record_compile("cjit", 0.1)
-        assert outcomes == ["misses", "hits", "compiles"]
 
     def test_clear_resets_backend_counters(self, cache):
         cache.five_step((32, 32, 32), "single", GEFORCE_8800_GTX)

@@ -17,12 +17,8 @@ def sim():
 def _roundtrip(sim, n=4096, name="x", stream=None):
     host = np.ones(n, np.complex64)
     dev = sim.allocate((n,), np.complex64, name)
-    if stream is None:
-        sim.h2d(host, dev, f"{name}-up")
-        sim.d2h(dev, host, f"{name}-down")
-    else:
-        sim.async_h2d(host, dev, stream=stream, label=f"{name}-up")
-        sim.async_d2h(dev, host, stream=stream, label=f"{name}-down")
+    sim.h2d(host, dev, f"{name}-up", stream=stream)
+    sim.d2h(dev, host, f"{name}-down", stream=stream)
 
 
 class TestEngineOf:
@@ -183,7 +179,7 @@ class TestEmitAndAggregation:
             s = DeviceSimulator(GEFORCE_8800_GTX)
             t = Tracer().attach(s) if traced else None
             _roundtrip(s, stream=1)
-            s.async_launch_timed("k", 1e-4, stream=1)
+            s.launch_timed("k", 1e-4, stream=1)
             return s.events(), t
 
         plain, _ = run(False)

@@ -42,9 +42,9 @@ class TestCleanWorkloads:
         host = np.ones(4096, np.complex64)
         for s in range(3):
             dev = sim.allocate((4096,), np.complex64, f"x{s}")
-            sim.async_h2d(host, dev, stream=s, label=f"up{s}")
-            sim.async_launch_timed(f"k{s}", 2e-4, stream=s)
-            sim.async_d2h(dev, host, stream=s, label=f"down{s}")
+            sim.h2d(host, dev, stream=s, label=f"up{s}")
+            sim.launch_timed(f"k{s}", 2e-4, stream=s)
+            sim.d2h(dev, host, stream=s, label=f"down{s}")
         check_timeline(sim)
 
     def test_single_plan_execute(self):

@@ -249,6 +249,29 @@ class TestLifecycle:
             warm = [e for e in srv._engines.values() if e.n_slots > 0]
             assert len(warm) <= 1
 
+    def test_engine_eviction_clears_host_workspace(self, rng):
+        """Cold engines give their workspace arena back, batch and single."""
+        shapes = [(16, 16, 16), (32, 16, 16), (16, 32, 16), (16, 16, 32), (32, 32, 32)]
+        with FFTServer(
+            start=False,
+            max_resident_plans=1,
+            coalesce=CoalescePolicy(max_batch=2, max_wait_s=0.0),
+        ) as srv:
+            for i, shape in enumerate(shapes):
+                for x in _cubes(rng, 0, 1 + i % 2, shape=shape):
+                    srv.submit(FFTRequest(x))
+                srv.run_pending()
+            engines = {**srv._singles, **srv._engines}
+            assert len(engines) == len(shapes)
+            assert any(isinstance(e, GpuFFT3D) for e in engines.values())
+            hottest = max(srv._engine_use, key=srv._engine_use.get)
+            for ekey, engine in engines.items():
+                held = engine.workspace.stats.bytes_allocated
+                if ekey == hottest:
+                    assert held > 0
+                else:
+                    assert held == 0, (ekey, held)
+
 
 class TestObservability:
     def test_profiler_captures_serve_metrics_and_spans(self, rng):
@@ -460,13 +483,12 @@ class TestResilientDispatch:
             )
             assert dropped.value == 1
 
+    def test_health_takes_only_a_policy(self):
+        with pytest.raises(TypeError, match="HealthPolicy"):
+            FFTServer(start=False, health=False)
+
     def test_eject_worker_validates(self, rng):
-        with FFTServer(start=False, n_workers=2, health=False) as srv:
-            with pytest.raises(RuntimeError, match="health"):
-                srv.eject_worker(0)
-        with FFTServer(
-            start=False, n_workers=2, serial_dispatch=True, health=True
-        ) as srv:
+        with FFTServer(start=False, n_workers=2, serial_dispatch=True) as srv:
             with pytest.raises(ValueError, match="no such worker"):
                 srv.eject_worker(7)
             srv.eject_worker(1, reason="test")
