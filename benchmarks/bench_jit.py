@@ -11,7 +11,10 @@ uses (``bench_hostpath.py``) runs through three lenses:
   compiled, interleaved best-of-N (``benchmarks/harness.py``, the same
   discipline bench_hostpath uses; that benchmark owns the unpooled vs
   pooled NumPy ratio).  The headline gate lives here: compiled >= 3x
-  over the pooled NumPy path;
+  over the pooled NumPy path.  Beside it, ``threads_speedup``: the
+  compiled transform at 128^3 on every core over the same transform on
+  one thread, paired in one process (the OpenMP split of the kernels'
+  outer loops, DESIGN.md §18);
 * **serve mix** — the full ``FFTServer`` workload, pooled NumPy vs
   compiled, plus compiled ``n_workers=1`` vs ``n_workers=4``.  The
   parallel gate (>= 2x) only applies on hosts with >= 4 cores — the
@@ -27,9 +30,11 @@ CI smoke::
     python benchmarks/bench_jit.py --quick --check-against BENCH_jit.json
 
 re-runs the quick workload and fails (exit 1) when the measured
-core-speedup ratio regresses below ``REGRESSION_TOLERANCE`` (80%) of
-the committed baseline — ratios, not absolute times, so the gate is
-self-normalizing across machines.
+core-speedup or threads-speedup ratio regresses below
+``REGRESSION_TOLERANCE`` (80%) of the committed baseline (capped at its
+bar) — ratios, not absolute times, so the gate is self-normalizing
+across machines.  The threads gate is skipped, and says so, on a
+one-core host, where there is nothing to split.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ if __package__ in (None, ""):  # CLI: python benchmarks/bench_jit.py
 
 import numpy as np
 
-from benchmarks.harness import best_of_interleaved, sample_seconds, time_split
+from benchmarks.harness import best_of_interleaved, time_split
 from repro import jit
 from repro.core.five_step import FiveStepPlan, split_axis
 from repro.core.workspace import Workspace
@@ -60,7 +65,14 @@ CORE_SPEEDUP_BAR = 3.0
 #: Parallel gate: FFTServer(n_workers=4) vs n_workers=1, compiled.
 PARALLEL_BAR = 2.0
 PARALLEL_WORKERS = 4
-#: CI gate: current quick-mode core speedup must be >= committed * this.
+#: Threads gate: compiled transform on every core vs on one thread.
+THREADS_SPEEDUP_BAR = 1.6
+#: The grid the threads ratio is taken at: large enough that a
+#: transform (~17 ms on one core) dwarfs thread start-up.
+THREADS_SHAPE = (128, 128, 128)
+#: Interleaved rounds of the threads ratio (two transforms each).
+THREADS_ROUNDS = 8
+#: CI gate: current quick-mode ratios must be >= committed * this.
 REGRESSION_TOLERANCE = 0.8
 
 FULL = {"shape": (64, 64, 64), "entries": 64, "rounds": 5, "core_reps": 4}
@@ -93,7 +105,8 @@ def _compiled_for(shape, backend):
 
 
 def _kernel_microbench(shape, backend, reps=20) -> dict:
-    """Best wall ms of each pipeline call alone, on the full grid."""
+    """Best wall ms of each pipeline call alone, on the full grid, on one
+    thread and on every core."""
     compiled, (a, b, c, d) = _compiled_for(shape, backend)
     nx = shape[2]
     x = _workload(shape, 1)[0]
@@ -104,31 +117,62 @@ def _kernel_microbench(shape, backend, reps=20) -> dict:
     of = out.reshape(-1).view(np.float32)
     k = compiled._kernels
     sgn = np.float32(1.0)
+    one = np.float32(1.0)
     ctab = compiled._ctab
     rows = a * b * c * d
     calls = {
-        f"mr_a_{a} (Z half 1)": lambda: k["multirow_a"][a](
-            xf, wf, compiled._wz, ctab, b, c, d, nx, sgn
+        f"mr_a_{a} (Z half 1)": lambda t: k["multirow_a"][a](
+            xf, wf, compiled._wz, ctab, b, c, d, nx, sgn, t
         ),
-        f"mr_b_{b} (Z half 2)": lambda: k["multirow_b"][b](
-            wf, of, ctab, c, d, a, nx, sgn
+        f"mr_b_{b} (Z half 2)": lambda t: k["multirow_b"][b](
+            wf, of, ctab, c, d, a, nx, sgn, t
         ),
-        f"mr_a_{c} (Y half 1)": lambda: k["multirow_a"][c](
-            of, wf, compiled._wy, ctab, d, b, a, nx, sgn
+        f"mr_a_{c} (Y half 1)": lambda t: k["multirow_a"][c](
+            of, wf, compiled._wy, ctab, d, b, a, nx, sgn, t
         ),
-        f"mr_b_{d} (Y half 2)": lambda: k["multirow_b"][d](
-            wf, of, ctab, b, a, c, nx, sgn
+        f"mr_b_{d} (Y half 2)": lambda t: k["multirow_b"][d](
+            wf, of, ctab, b, a, c, nx, sgn, t
         ),
-        f"s5_{nx} (X four-step)": lambda: k["step5"][nx](
-            of, compiled._w5, ctab, rows, sgn
+        f"s5_{nx} (X four-step)": lambda t: k["step5"][nx](
+            of, compiled._w5, ctab, rows, sgn, one, t
         ),
     }
     best = {}
     for name, fn in calls.items():
-        fn()  # warm
-        samples = [sample_seconds(fn, 1) for _ in range(reps)]
-        best[name] = min(samples) * 1e3
+        samplers = {
+            f"threads={t}": (lambda t=t: fn(t))
+            for t in sorted({1, jit.host_cores()})
+        }
+        ms = best_of_interleaved(samplers, reps)
+        best[name] = {label: s * 1e3 for label, s in ms.items()}
     return best
+
+
+def _threads_speedup(backend) -> dict:
+    """The compiled transform on every core over one thread, interleaved.
+
+    Both configurations call the same compiled plan with the same
+    buffers; only the ``threads`` argument differs, so the ratio is the
+    OpenMP split alone.  The outputs must be bitwise equal.
+    """
+    shape = THREADS_SHAPE
+    compiled, _ = _compiled_for(shape, backend)
+    x = _workload(shape, 1)[0]
+    work = np.empty_like(x)
+    cores = jit.host_cores()
+    outs = {1: np.empty_like(x), cores: np.empty_like(x)}
+    samplers = {
+        t: (lambda t=t: compiled.run(x, outs[t], work, threads=t)) for t in outs
+    }
+    best = best_of_interleaved(samplers, THREADS_ROUNDS, 2)
+    return {
+        "shape": list(shape),
+        "threads": cores,
+        "threads_1_ms": best[1] * 1e3,
+        "threads_cores_ms": best[cores] * 1e3,
+        "threads_speedup": best[1] / best[cores],
+        "threads_equivalent": _equivalent(outs[cores], outs[1]),
+    }
 
 
 def _plan_core(shape, backend, rounds, reps) -> dict:
@@ -154,6 +198,7 @@ def _plan_core(shape, backend, rounds, reps) -> dict:
         "jit_ms": best["jit"] * 1e3,
         "speedup_vs_pooled": best["numpy_pooled"] / best["jit"],
         "equivalent": equivalent,
+        **_threads_speedup(backend),
     }
 
 
@@ -251,7 +296,9 @@ def build_payload(quick_only: bool = False) -> dict:
             "resolved": resolved,
         },
         "cpu_count": os.cpu_count(),
+        "host_cores": jit.host_cores(),
         "core_speedup_bar": CORE_SPEEDUP_BAR,
+        "threads_speedup_bar": THREADS_SPEEDUP_BAR,
         "parallel_bar": PARALLEL_BAR,
         "parallel_gate_applies": (os.cpu_count() or 1) >= PARALLEL_WORKERS,
         "regression_tolerance": REGRESSION_TOLERANCE,
@@ -296,6 +343,10 @@ def _fmt(payload: dict) -> str:
             f"  plan core: pooled {core['numpy_pooled_ms']:.2f} ms, "
             f"jit {core['jit_ms']:.2f} ms "
             f"({core['speedup_vs_pooled']:.2f}x vs pooled)",
+            f"  threads at {core['shape']}: 1 thread "
+            f"{core['threads_1_ms']:.2f} ms, {core['threads']} threads "
+            f"{core['threads_cores_ms']:.2f} ms "
+            f"({core['threads_speedup']:.2f}x)",
             f"  serve mix: {mix['entries']} entries, "
             f"numpy {mix['numpy_pooled_wall_s'] * 1e3:.1f} ms, "
             f"jit {mix['jit_wall_s'] * 1e3:.1f} ms "
@@ -304,11 +355,13 @@ def _fmt(payload: dict) -> str:
             f"{mix['jit_parallel_wall_s'] * 1e3:.1f} ms "
             f"({mix['parallel_speedup']:.2f}x)",
             f"  equivalent: core={core['equivalent']} "
+            f"threads={core['threads_equivalent']} "
             f"mix={mix['equivalent']}",
         ]
         if "kernels_ms" in section:
-            for kname, ms in section["kernels_ms"].items():
-                lines.append(f"    {kname}: {ms:.3f} ms")
+            for kname, by_threads in section["kernels_ms"].items():
+                cols = ", ".join(f"{t} {ms:.3f} ms" for t, ms in by_threads.items())
+                lines.append(f"    {kname}: {cols}")
         if "time_split" in section:
             for sname, split in section["time_split"].items():
                 lines.append(
@@ -336,9 +389,28 @@ def test_jit_speedup(benchmark, show):
     full = payload["full"]
     assert full["plan_core"]["speedup_vs_pooled"] >= CORE_SPEEDUP_BAR
     assert full["plan_core"]["equivalent"]
+    assert full["plan_core"]["threads_equivalent"]
+    if payload["host_cores"] > 1:
+        assert full["plan_core"]["threads_speedup"] >= THREADS_SPEEDUP_BAR
     assert full["serve_mix"]["equivalent"]
     if payload["parallel_gate_applies"]:
         assert full["serve_mix"]["parallel_speedup"] >= PARALLEL_BAR
+
+
+def _gate(name, current, committed, bar) -> bool:
+    """One ratio against ``min(committed, bar) * REGRESSION_TOLERANCE``.
+
+    The reference is capped at the acceptance bar so a lucky committed
+    run can't ratchet the floor above the contract.
+    """
+    floor = min(committed, bar) * REGRESSION_TOLERANCE
+    ok = current >= floor
+    print(
+        f"plan_core.{name}: current {current:.2f}x vs committed "
+        f"{committed:.2f}x (floor {floor:.2f}x) -> "
+        f"{'ok' if ok else 'REGRESSION'}"
+    )
+    return ok
 
 
 def _check_against(payload: dict, baseline_path: Path) -> int:
@@ -347,21 +419,29 @@ def _check_against(payload: dict, baseline_path: Path) -> int:
         print("no compiled backend in payload or baseline; nothing to gate")
         return 0
     failures = []
-    committed = baseline["quick"]["plan_core"]["speedup_vs_pooled"]
-    current = payload["quick"]["plan_core"]["speedup_vs_pooled"]
-    # Cap the reference at the acceptance bar so a lucky committed run
-    # can't ratchet the floor above the contract.
-    floor = min(committed, CORE_SPEEDUP_BAR) * REGRESSION_TOLERANCE
-    status = "ok" if current >= floor else "REGRESSION"
-    print(
-        f"plan_core.speedup_vs_pooled: current {current:.2f}x vs committed "
-        f"{committed:.2f}x (floor {floor:.2f}x) -> {status}"
-    )
-    if current < floor:
+    core = payload["quick"]["plan_core"]
+    committed = baseline["quick"]["plan_core"]
+    if not _gate(
+        "speedup_vs_pooled",
+        core["speedup_vs_pooled"],
+        committed["speedup_vs_pooled"],
+        CORE_SPEEDUP_BAR,
+    ):
         failures.append("speedup_vs_pooled")
-    if not payload["quick"]["plan_core"]["equivalent"]:
-        print("plan_core.equivalent: False -> REGRESSION")
-        failures.append("equivalent")
+    if payload["host_cores"] < 2:
+        print("plan_core.threads_speedup: one core, nothing to split -> skipped")
+    elif not _gate(
+        "threads_speedup",
+        core["threads_speedup"],
+        # A baseline from before the threads gate: the bar alone.
+        committed.get("threads_speedup", THREADS_SPEEDUP_BAR),
+        THREADS_SPEEDUP_BAR,
+    ):
+        failures.append("threads_speedup")
+    for key in ("equivalent", "threads_equivalent"):
+        if not core[key]:
+            print(f"plan_core.{key}: False -> REGRESSION")
+            failures.append(key)
     return 1 if failures else 0
 
 

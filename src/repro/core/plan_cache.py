@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.core.five_step import FiveStepPlan, resolve_plan_backend
-from repro.fft.twiddle import DEFAULT_CACHE
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.specs import DeviceSpec
 
@@ -171,8 +170,9 @@ class PlanCache:
     ) -> FiveStepPlan:
         """The shared plan for ``(shape, precision, device, backend)``.
 
-        A miss builds the plan and warms its twiddle tables in the
-        process-wide :data:`~repro.fft.twiddle.DEFAULT_CACHE`; a hit
+        A miss builds the plan and warms every twiddle table its execute
+        reads (:meth:`~repro.core.five_step.FiveStepPlan.warm_tables`) in
+        the process-wide :data:`~repro.fft.twiddle.DEFAULT_CACHE`; a hit
         recomputes neither.  ``backend`` is resolved *before* keying
         (:func:`~repro.core.five_step.resolve_plan_backend`), so
         ``"auto"`` shares the entry of its concrete resolution while a
@@ -196,8 +196,7 @@ class PlanCache:
         # Build outside the lock (construction touches the twiddle cache,
         # which has its own lock); last writer wins on a racing miss.
         plan = FiveStepPlan(key[0], precision=precision, backend=resolved)
-        DEFAULT_CACHE.four_step(plan.rz1, plan.rz2, precision)
-        DEFAULT_CACHE.four_step(plan.ry1, plan.ry2, precision)
+        plan.warm_tables()
         with self._lock:
             plan = self._plans.setdefault(key, plan)
             self._plans.move_to_end(key)

@@ -42,7 +42,6 @@ Key properties:
 
 from __future__ import annotations
 
-import os
 import queue as _queue
 import threading
 import time
@@ -58,6 +57,7 @@ from repro.core.resilient import ResilienceReport, RetryPolicy
 from repro.gpu.faults import DeviceLostError, FaultError, FaultInjector
 from repro.gpu.simulator import DeviceSimulator
 from repro.gpu.specs import DeviceSpec, GEFORCE_8800_GTX
+from repro.jit import host_cores
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.coalescer import CoalescePolicy, Coalescer
@@ -292,9 +292,10 @@ class FFTServer:
         self._rr_wid = 0  # next serial-mode worker (round-robin cursor)
         # Workers beyond the host's cores would only thrash caches during
         # the numeric sections; they still overlap queueing, transfers
-        # and bookkeeping, but the heavy compute is capped at core count.
+        # and bookkeeping, but the heavy compute is capped at core count
+        # (the same cores that share out compiled transforms' threads).
         self._compute_permits = threading.BoundedSemaphore(
-            max(1, min(n_workers, os.cpu_count() or 1))
+            max(1, min(n_workers, host_cores()))
         )
         if n_workers > 1 and not serial_dispatch:
             self._pool = ThreadPoolExecutor(
