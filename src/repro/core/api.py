@@ -9,8 +9,8 @@ The plan is *resilient* by construction: transfers are checksummed and
 retried, rejected launches are retried with backoff, a lost device is
 reset and the transform resumed (from the last completed slab checkpoint
 on the out-of-core path), and when the device keeps failing the plan
-degrades to the host reference transform
-(:class:`repro.fft.plan.PlanND`) and records the downgrade.  All of this
+degrades to running its own plan on the host — the same bits as the
+device path — and records the downgrade.  All of this
 is driven by an optional :class:`~repro.gpu.faults.FaultInjector`; with
 no injector attached the resilient machinery adds zero simulated time.
 The cost of robustness is surfaced via :meth:`GpuFFT3D.resilience_report`.
@@ -30,6 +30,7 @@ copied (:meth:`~repro.core.resilient.ResilientEngine._round_trip`).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
 from typing import TYPE_CHECKING
 
@@ -180,12 +181,23 @@ class GpuFFT3D(ResilientEngine):
         )
         return out
 
-    def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
-        """Graceful degradation: host reference transform, charged as host time."""
+    def _host_fallback(
+        self,
+        x: np.ndarray,
+        inverse: bool,
+        reason: str,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Graceful degradation: this engine's plan on the host, charged as host time."""
         # The device buffers are dead weight from here on: free them (a
         # reset discards them anyway) instead of leaking the capacity.
         self.release()
-        return super()._host_fallback(x, inverse, reason)
+        if not self.out_of_core:
+            return super()._host_fallback(x, inverse, reason, out)
+        self._executor.host_fallback(self.shape, self._dtype, reason, self._buf)
+        return self._forward_normed(
+            partial(self._ooc.execute, workspace=self.workspace), x, inverse
+        )
 
     def _run_in_core(
         self, x: np.ndarray, inverse: bool, out: np.ndarray | None
@@ -204,38 +216,46 @@ class GpuFFT3D(ResilientEngine):
                     raise
                 resets += 1
                 if resets > self.retry_policy.max_device_resets:
-                    return self._host_fallback(x, inverse, "device lost")
+                    return self._host_fallback(x, inverse, "device lost", out)
                 self._executor.reset_device()
             except CorruptionError:
                 corruption_retries += 1
                 if corruption_retries >= self.retry_policy.max_attempts:
-                    return self._host_fallback(x, inverse, "persistent corruption")
+                    return self._host_fallback(
+                        x, inverse, "persistent corruption", out
+                    )
                 self._executor.backoff(corruption_retries - 1, "ecc")
             except FaultError as exc:
                 # Transfer/launch/allocation retries already exhausted in
                 # the executor: repeated device failure, so degrade.
-                return self._host_fallback(x, inverse, type(exc).__name__)
+                return self._host_fallback(x, inverse, type(exc).__name__, out)
+
+    def _forward_normed(self, forward, x: np.ndarray, inverse: bool) -> np.ndarray:
+        """``forward`` (un-normalized) in ``inverse``'s direction, normalized.
+
+        The inverse is the forward transform of the conjugate, conjugated.
+        """
+        out = forward(np.conj(x) if inverse else x)
+        if inverse:
+            np.conj(out, out=out)
+        return apply_norm(out, self.total_elements, self.norm, inverse)
 
     def _run_out_of_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        est = self.out_of_core_estimate()
-        y = np.conj(x) if inverse else x
+        staged = partial(
+            run_out_of_core,
+            self._ooc,
+            self.out_of_core_estimate(),
+            executor=self._executor,
+            verify=self._verify,
+            name=f"{self._buf}-ooc",
+            workspace=self.workspace,
+        )
         try:
-            out = run_out_of_core(
-                self._ooc,
-                est,
-                y,
-                self._executor,
-                verify=self._verify,
-                name=f"{self._buf}-ooc",
-                workspace=self.workspace,
-            )
+            return self._forward_normed(staged, x, inverse)
         except FaultError as exc:
             if self.raise_on_device_loss and isinstance(exc, DeviceLostError):
                 raise
             return self._host_fallback(x, inverse, type(exc).__name__)
-        if inverse:
-            np.conj(out, out=out)
-        return apply_norm(out, self.total_elements, self.norm, inverse)
 
     def _run(
         self,
@@ -252,7 +272,7 @@ class GpuFFT3D(ResilientEngine):
             with self.simulator.fault_scope(self._injector):
                 x = self._own_input(x, out)
                 if force_host:
-                    res = self._host_fallback(x, inverse, "forced")
+                    res = self._host_fallback(x, inverse, "forced", out)
                 elif self.out_of_core:
                     res = self._run_out_of_core(x, inverse)
                 else:

@@ -268,7 +268,7 @@ class BatchedGpuFFT3D(ResilientEngine):
                     while True:
                         if dead:
                             reason = "forced" if force_host else "device lost"
-                            target[...] = self._host_fallback(x, inverse, reason)
+                            self._host_fallback(x, inverse, reason, out=target)
                             break
                         try:
                             self._ensure_slots(len(entries))
@@ -289,8 +289,8 @@ class BatchedGpuFFT3D(ResilientEngine):
                         except FaultError as exc:
                             # Retries exhausted for this entry alone:
                             # degrade it, keep the pipeline for neighbours.
-                            target[...] = self._host_fallback(
-                                x, inverse, type(exc).__name__
+                            self._host_fallback(
+                                x, inverse, type(exc).__name__, out=target
                             )
                             break
             self.simulator.synchronize()

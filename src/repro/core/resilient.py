@@ -12,7 +12,7 @@ so the *cost* of robustness is a first-class observable:
   *silent* injected corruption into a retryable event.  The executor is
   the only place a device operation is retried: transfers and launches
   (synchronous, or on a stream for the batch pipeline), allocations,
-  device resets and the host fallback all live on it, and
+  device resets and the host-fallback accounting all live on it, and
   :class:`ResilientEngine` — the base of
   :class:`~repro.core.api.GpuFFT3D` and
   :class:`~repro.core.batch.BatchedGpuFFT3D` — holds their shared
@@ -58,8 +58,7 @@ from repro.core.five_step import FiveStepPlan
 from repro.core.out_of_core import OutOfCoreEstimate, OutOfCorePlan
 from repro.core.plan_cache import PLAN_CACHE
 from repro.core.workspace import Workspace
-from repro.fft.normalization import apply_norm, scale_factor
-from repro.fft.plan import PlanND
+from repro.fft.normalization import scale_factor
 from repro.gpu.faults import (
     AllocationError,
     CorruptionError,
@@ -418,33 +417,28 @@ class ResilientExecutor:
         )
 
     def host_fallback(
-        self, x: np.ndarray, inverse: bool, reason: str, label: str
-    ) -> np.ndarray:
-        """Degrade one transform to the host reference, charged as host time.
+        self, shape: tuple[int, int, int], dtype, reason: str, label: str
+    ) -> None:
+        """Account one transform degraded to the host, charged as host time.
 
         Records the downgrade, resets a lost card (so the next transform
-        finds a live device), charges the transform at the FFTW
-        baseline's sustained rate as a ``{label}-host-fallback`` host span
-        and runs :class:`~repro.fft.plan.PlanND`.  Returns the
-        un-normalized result.
+        finds a live device) and charges the transform at the FFTW
+        baseline's sustained rate as a ``{label}-host-fallback`` host
+        span.  The engine computes the result itself, with its own plan.
         """
         from repro.baselines.fftw_cpu import FftwCpuBaseline
 
         self.report.downgrades.append(f"host-fallback: {reason}")
         if self.sim.device_lost:
             self.reset_device()
-        precision = "single" if x.dtype == np.complex64 else "double"
-        rate = FftwCpuBaseline(precision=precision).sustained_gflops(x.shape)
-        nz, ny, nx = x.shape
+        precision = "single" if np.dtype(dtype) == np.complex64 else "double"
+        rate = FftwCpuBaseline(precision=precision).sustained_gflops(shape)
+        nz, ny, nx = shape
         self.sim.charge(
             f"{label}-host-fallback",
             flops_3d_fft(nx, ny, nz) / (rate * 1e9),
             "host",
         )
-        plan = PlanND(x.shape, precision=precision)
-        if inverse:
-            return np.conj(plan.execute(np.conj(x)))
-        return plan.execute(x)
 
 
 class ResilientEngine:
@@ -556,11 +550,11 @@ class ResilientEngine:
     ) -> np.ndarray:
         """One transform (or batch) in either direction.
 
-        ``force_host`` skips the device entirely and runs the reference
-        host transform (charged as host time) — the serving layer's
-        guaranteed-progress degradation when every worker card is
-        ejected.  Results stay correct; the downgrades are recorded in
-        :attr:`resilience`.
+        ``force_host`` skips the device entirely and runs the engine's
+        own plan on the host (charged as host time) — the serving
+        layer's guaranteed-progress degradation when every worker card
+        is ejected.  The result bits are the device path's; the
+        downgrades are recorded in :attr:`resilience`.
 
         ``out`` — a writeable, C-contiguous array of the result's shape
         (``(batch, *shape)`` for the batch engine) and dtype — receives
@@ -720,15 +714,25 @@ class ResilientEngine:
                 "(likely an ECC upset of a device buffer)"
             )
 
-    def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
+    def _host_fallback(
+        self,
+        x: np.ndarray,
+        inverse: bool,
+        reason: str,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Degrade one transform to the host; a reset takes every buffer with it.
 
-        Returns the normalized result, like the device path.
+        Runs the engine's own plan the way :meth:`_launch_transform` does
+        (same backend, workspace and fused norm scale), so the result is
+        bit-identical to the device path's.
         """
         if self.simulator.device_lost:
             self.release()
-        y = self._executor.host_fallback(x, inverse, reason, self._buf)
-        return apply_norm(y, self.total_elements, self.norm, inverse)
+        self._executor.host_fallback(self.shape, self._dtype, reason, self._buf)
+        return self._plan.execute(
+            x, inverse, workspace=self.workspace, out=out, scale=self._scale(inverse)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,6 @@ from repro.fft.fft2d import fft2d, ifft2d
 from repro.fft.fft3d import fft3d, ifft3d
 from repro.fft.real import rfft, irfft
 from repro.fft.realnd import rfft3d, irfft3d
-from repro.fft.bluestein import bluestein_fft, fft_any
-from repro.fft.split_radix import split_radix_fft, split_radix_flops
-from repro.fft.czt import czt, zoom_fft
 
 __all__ = [
     "twiddle_table",
@@ -67,10 +64,4 @@ __all__ = [
     "irfft",
     "rfft3d",
     "irfft3d",
-    "bluestein_fft",
-    "fft_any",
-    "split_radix_fft",
-    "split_radix_flops",
-    "czt",
-    "zoom_fft",
 ]

@@ -13,7 +13,6 @@ def fft(
     x: np.ndarray,
     axis: int = -1,
     norm: str = "backward",
-    engine: str = "four_step",
     precision: str | None = None,
 ) -> np.ndarray:
     """Forward complex FFT along ``axis`` (power-of-two length).
@@ -26,7 +25,7 @@ def fft(
     if precision is None:
         precision = "single" if x.dtype == np.complex64 else "double"
     moved = np.moveaxis(x, axis, -1)
-    plan = Plan1D(moved.shape[-1], precision=precision, engine=engine, norm=norm)
+    plan = Plan1D(moved.shape[-1], precision=precision, norm=norm)
     return np.ascontiguousarray(
         np.moveaxis(plan.execute(np.ascontiguousarray(moved)), -1, axis)
     )
@@ -36,7 +35,6 @@ def ifft(
     x: np.ndarray,
     axis: int = -1,
     norm: str = "backward",
-    engine: str = "four_step",
     precision: str | None = None,
 ) -> np.ndarray:
     """Inverse complex FFT along ``axis``; matches ``numpy.fft.ifft``."""
@@ -44,7 +42,7 @@ def ifft(
     if precision is None:
         precision = "single" if x.dtype == np.complex64 else "double"
     moved = np.moveaxis(x, axis, -1)
-    plan = Plan1D(moved.shape[-1], precision=precision, engine=engine, norm=norm)
+    plan = Plan1D(moved.shape[-1], precision=precision, norm=norm)
     return np.ascontiguousarray(
         np.moveaxis(plan.execute(np.ascontiguousarray(moved), inverse=True), -1, axis)
     )

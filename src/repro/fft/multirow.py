@@ -10,8 +10,6 @@ row dimension) the paper exploits.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.fft.cooley_tukey import fft_pow2
@@ -19,22 +17,15 @@ from repro.fft.cooley_tukey import fft_pow2
 __all__ = ["multirow_fft"]
 
 
-def multirow_fft(
-    x: np.ndarray,
-    axis: int = -1,
-    inverse: bool = False,
-    transform: Callable[[np.ndarray, bool], np.ndarray] | None = None,
-) -> np.ndarray:
+def multirow_fft(x: np.ndarray, axis: int = -1, inverse: bool = False) -> np.ndarray:
     """Un-normalized FFT along ``axis`` of ``x``, batched over the rest.
 
-    ``transform(last_axis_array, inverse)`` defaults to the four-step
-    power-of-two transform; pass e.g. ``stockham_fft`` to change engines.
+    Runs the four-step power-of-two transform on the axis moved last.
     The result is C-contiguous with the original axis order.
     """
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
         raise ValueError(f"axis {axis} out of range for ndim {x.ndim}")
-    transform = fft_pow2 if transform is None else transform
     moved = np.moveaxis(x, axis, -1)
-    out = transform(np.ascontiguousarray(moved), inverse)
+    out = fft_pow2(np.ascontiguousarray(moved), inverse)
     return np.ascontiguousarray(np.moveaxis(out, -1, axis))

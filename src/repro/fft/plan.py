@@ -2,9 +2,9 @@
 
 FFTW popularized the plan-then-execute API; the paper's kernels are also
 size-specialized ("the program itself must be tailored for each major
-sizes", Section 4.6).  A plan fixes size, precision, engine and
-normalization once, validates on construction, and then executes with no
-per-call planning cost.
+sizes", Section 4.6).  A plan fixes size, precision and normalization
+once, validates on construction, and then executes with no per-call
+planning cost.
 """
 
 from __future__ import annotations
@@ -15,19 +15,11 @@ import numpy as np
 
 from repro.fft.cooley_tukey import fft_pow2
 from repro.fft.normalization import NORMS, apply_norm
-from repro.fft.stockham import stockham_fft
 from repro.fft.multirow import multirow_fft
 from repro.util.indexing import ilog2
 from repro.util.validation import as_complex_array
 
-__all__ = ["ENGINES", "Plan1D", "PlanND"]
-
-ENGINES = ("four_step", "stockham")
-
-_ENGINE_FUNCS = {
-    "four_step": fft_pow2,
-    "stockham": stockham_fft,
-}
+__all__ = ["Plan1D", "PlanND"]
 
 
 @dataclass(frozen=True)
@@ -40,21 +32,16 @@ class Plan1D:
         Transform length (power of two).
     precision:
         ``"single"`` or ``"double"``; input is cast on execute.
-    engine:
-        ``"four_step"`` (default) or ``"stockham"``.
     norm:
         One of :data:`repro.fft.normalization.NORMS`.
     """
 
     n: int
     precision: str = "double"
-    engine: str = "four_step"
     norm: str = "backward"
 
     def __post_init__(self) -> None:
         ilog2(self.n)
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; expected {ENGINES}")
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}; expected {NORMS}")
         if self.precision not in ("single", "double"):
@@ -67,7 +54,7 @@ class Plan1D:
             raise ValueError(
                 f"plan is for size {self.n}, input last axis is {x.shape[-1]}"
             )
-        out = _ENGINE_FUNCS[self.engine](x, inverse)
+        out = fft_pow2(x, inverse)
         return apply_norm(out, self.n, self.norm, inverse)
 
     @property
@@ -86,7 +73,6 @@ class PlanND:
 
     shape: tuple[int, ...]
     precision: str = "double"
-    engine: str = "four_step"
     norm: str = "backward"
     _plans: tuple[Plan1D, ...] = field(init=False, repr=False, compare=False)
 
@@ -95,7 +81,7 @@ class PlanND:
             raise ValueError("shape must be non-empty")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         plans = tuple(
-            Plan1D(n, self.precision, self.engine, norm="backward")
+            Plan1D(n, self.precision, norm="backward")
             for n in self.shape
         )
         if self.norm not in NORMS:
@@ -107,9 +93,8 @@ class PlanND:
         x = as_complex_array(x, self.precision)
         if x.shape != self.shape:
             raise ValueError(f"plan is for shape {self.shape}, input is {x.shape}")
-        engine = _ENGINE_FUNCS[self.engine]
         for axis in range(len(self.shape)):
-            x = multirow_fft(x, axis=axis, inverse=inverse, transform=engine)
+            x = multirow_fft(x, axis=axis, inverse=inverse)
         total = 1
         for n in self.shape:
             total *= n

@@ -18,7 +18,7 @@ its in-flight requests re-queue to the survivors (deadline- and
 budget-checked), and :meth:`FFTServer.drain` quiesces gracefully with a
 typed :class:`DrainingError` at the door.  The seeded drill in
 :mod:`repro.serve.chaos` pins the invariants: no future is ever lost,
-non-faulted results are bit-identical to a fault-free run, and a fixed
+every completed result is bit-identical to a fault-free run, and a fixed
 seed reproduces the drill byte for byte.
 
 Since PR 7 the stack is reachable over a wire: :class:`Gateway` is a

@@ -9,11 +9,13 @@ and asserts the three robustness invariants the layer promises:
    result or a typed :mod:`repro.serve.errors` failure — and every
    refused submission raised a typed rejection synchronously.  Nothing
    hangs, nothing vanishes, the queue is empty at the end.
-2. **Bit-identity off the fault path.**  Every completed request whose
-   batch saw no fault (``future.faulted`` clear) produced a result
-   byte-for-byte identical to the fault-free reference (the standalone
-   :class:`~repro.core.api.GpuFFT3D` plan — the same plan objects the
-   server dispatches through).
+2. **Bit-identity of every result.**  Every completed request —
+   faulted, retried, re-queued or degraded to the host alike — produced
+   a result byte-for-byte identical to the fault-free reference (the
+   standalone :class:`~repro.core.api.GpuFFT3D` plan — the same plan
+   objects the server dispatches through, and a degraded transform
+   runs its engine's own plan on the host).  A mismatch is a silent
+   corruption that got past the CRC and Parseval checks.
 3. **Determinism.**  The drill runs in the server's
    ``serial_dispatch`` mode, where worker assignment, fault streams and
    health transitions are pure functions of submission order, so a
@@ -185,8 +187,8 @@ def reference_digests(reqs: list[FFTRequest]) -> list[str]:
     """Fault-free result digest per request, via the standalone plans.
 
     The server dispatches through the same
-    :data:`~repro.core.plan_cache.PLAN_CACHE` plan objects, so a served
-    result that took no fault path must match these bytes exactly.
+    :data:`~repro.core.plan_cache.PLAN_CACHE` plan objects, so every
+    served result — fault path or not — must match these bytes exactly.
     """
     plans: dict[tuple, GpuFFT3D] = {}
     digests = []
@@ -217,8 +219,8 @@ class _Tally:
     completed_faulted: int = 0
     failed: int = 0
     failure_kinds: dict[str, int] = field(default_factory=dict)
-    #: Non-faulted results compared against the fault-free digest.
-    checked: int = 0
+    #: Completed results whose bytes differ from the fault-free digest
+    #: (every completed result is compared).
     mismatches: int = 0
     requeued_done: int = 0
     requeued_unresolved: int = 0
@@ -249,8 +251,6 @@ class _Tally:
             t.completed += 1
             if o.faulted:
                 t.completed_faulted += 1
-                continue
-            t.checked += 1
             digest = hashlib.sha256(
                 np.ascontiguousarray(o.result()).tobytes()
             ).hexdigest()
@@ -277,7 +277,7 @@ class _Tally:
             out.append(f"{leftover_depth} tickets stranded in the queue")
         if self.mismatches:
             out.append(
-                f"{self.mismatches}/{self.checked} non-faulted results differ "
+                f"{self.mismatches}/{self.completed} completed results differ "
                 "from the fault-free reference"
             )
         return out
@@ -364,7 +364,7 @@ def run_drill(cfg: DrillConfig) -> DrillResult:
         },
         "invariants": {
             "zero_lost_futures": tally.unresolved == 0 and leftover_depth == 0,
-            "bit_identity_checked": tally.checked,
+            "bit_identity_checked": tally.completed,
             "bit_identity_mismatches": tally.mismatches,
             "hard_events": device_losses + ejections,
         },
@@ -406,9 +406,9 @@ def run_cluster_drill(cfg: DrillConfig) -> DrillResult:
        least one in-flight request and all of them resolve on surviving
        replicas; nothing fails with a node-loss error while survivors
        remain.
-    3. **Bit-identity off the fault path** and **determinism**, exactly
-       as in :func:`run_drill` (re-queued requests are marked
-       ``faulted`` and exempt from the byte comparison).
+    3. **Bit-identity of every result** and **determinism**, exactly
+       as in :func:`run_drill` (re-queued requests, marked ``faulted``,
+       are compared too).
     """
     from repro.cluster import FFTCluster
 
@@ -508,7 +508,7 @@ def run_cluster_drill(cfg: DrillConfig) -> DrillResult:
             "survivors_absorbed": requeued_at_kill >= 1
             and tally.requeued_unresolved == 0
             and survivor_failures == 0,
-            "bit_identity_checked": tally.checked,
+            "bit_identity_checked": tally.completed,
             "bit_identity_mismatches": tally.mismatches,
             "requeued_futures_resolved": tally.requeued_done,
         },

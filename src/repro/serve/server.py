@@ -779,7 +779,7 @@ class FFTServer:
         ``mode`` is the health monitor's claim verdict: ``run`` (normal),
         ``probe`` (synthetic probe first — a failing probe re-queues the
         batch without touching the suspect card), or ``host`` (every
-        card is out; run the reference host path).  Whatever happens,
+        card is out; run the engine's plan on the host).  Whatever happens,
         every ticket in ``batch`` ends up resolved or back on the queue.
         """
         handled: set[int] = set()

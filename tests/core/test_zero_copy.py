@@ -158,6 +158,49 @@ def test_signed_zero_input_tells_complex_from_real_scaling(backend):
     assert np.array_equal(_bits(plan.execute(x, True, scale=1.0)), _bits(raw))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("kind", ["single", "out-of-core", "batch"])
+def test_forced_host_returns_the_device_bits(rng, kind, inverse, norm, backend):
+    """A degraded transform runs its engine's own plan on the host.
+
+    So ``force_host`` returns the unfaulted device result bit for bit,
+    into a fresh array, a separate ``out`` or ``out`` aliasing ``x``.
+    """
+    from dataclasses import replace
+
+    from repro.gpu.specs import GEFORCE_8800_GT
+
+    if kind == "out-of-core":
+        shape = (64, 64, 64)
+        engine = GpuFFT3D(
+            shape, device=replace(GEFORCE_8800_GT, memory_mbytes=1),
+            norm=norm, backend=backend,
+        )
+        assert engine.out_of_core
+        x = _grid(rng, shape)
+    elif kind == "single":
+        engine = GpuFFT3D(SHAPE, norm=norm, backend=backend)
+        x = _grid(rng)
+    else:
+        engine = BatchedGpuFFT3D(SHAPE, norm=norm, backend=backend)
+        x = np.stack([_grid(rng) for _ in range(BATCH)])
+    with engine:
+        device = engine.execute(x, inverse)
+        assert not engine.resilience_report().downgrades
+        fresh = engine.execute(x, inverse, force_host=True)
+        out = np.empty_like(x)
+        assert engine.execute(x, inverse, force_host=True, out=out) is out
+        inplace = x.copy()
+        assert engine.execute(inplace, inverse, force_host=True, out=inplace) is inplace
+        downgrades = engine.resilience_report().downgrades
+    per_call = BATCH if kind == "batch" else 1
+    assert downgrades == ["host-fallback: forced"] * (3 * per_call)
+    for y in (fresh, out, inplace):
+        assert np.array_equal(_bits(y), _bits(device))
+
+
 class TestOut:
     @pytest.mark.parametrize("kind", ["single", "batch"])
     def test_bad_out_rejected(self, kind):

@@ -10,13 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fft.cooley_tukey import fft_pow2
-from repro.fft.split_radix import split_radix_fft
 from repro.fft.stockham import stockham_fft
 
 ENGINES = {
     "four_step": fft_pow2,
     "stockham": stockham_fft,
-    "split_radix": split_radix_fft,
 }
 
 N = 64

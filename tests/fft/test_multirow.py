@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fft.multirow import multirow_fft
-from repro.fft.stockham import stockham_fft
 
 
 class TestMultirowFft:
@@ -24,11 +23,6 @@ class TestMultirowFft:
         x = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
         back = multirow_fft(multirow_fft(x, axis=0), axis=0, inverse=True) / 4
         np.testing.assert_allclose(back, x, atol=1e-11)
-
-    def test_custom_engine(self, rng):
-        x = rng.standard_normal((4, 32)) + 0j
-        out = multirow_fft(x, axis=1, transform=stockham_fft)
-        np.testing.assert_allclose(out, np.fft.fft(x, axis=1), atol=1e-10)
 
     def test_axis_out_of_range(self, rng):
         with pytest.raises(ValueError):

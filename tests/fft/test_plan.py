@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fft.normalization import NORMS, apply_norm, scale_factor
-from repro.fft.plan import ENGINES, Plan1D, PlanND
+from repro.fft.plan import Plan1D, PlanND
 
 
 class TestScaleFactor:
@@ -33,10 +33,9 @@ class TestScaleFactor:
 
 
 class TestPlan1D:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_matches_numpy(self, engine, rng):
+    def test_matches_numpy(self, rng):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        plan = Plan1D(64, engine=engine)
+        plan = Plan1D(64)
         np.testing.assert_allclose(plan.execute(x), np.fft.fft(x), atol=1e-9)
 
     @pytest.mark.parametrize("norm", NORMS)
@@ -60,10 +59,6 @@ class TestPlan1D:
         plan = Plan1D(16)
         with pytest.raises(ValueError, match="16"):
             plan.execute(np.zeros(32, complex))
-
-    def test_invalid_engine(self):
-        with pytest.raises(ValueError):
-            Plan1D(16, engine="fftw")
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Cross-engine agreement matrix: every implementation, one truth.
 
-The package now contains four 1-D engines and six 3-D paths.  They must
+The package contains two 1-D engines and six 3-D paths.  They must
 all compute the same transform; this suite pins them against each other
 (and NumPy) across sizes and dtypes in one parametrized sweep.
 """
@@ -8,16 +8,12 @@ all compute the same transform; this suite pins them against each other
 import numpy as np
 import pytest
 
-from repro.fft.bluestein import fft_any
 from repro.fft.cooley_tukey import fft_pow2
-from repro.fft.split_radix import split_radix_fft
 from repro.fft.stockham import stockham_fft
 
 ENGINES_1D = {
     "four_step": fft_pow2,
     "stockham": stockham_fft,
-    "split_radix": split_radix_fft,
-    "bluestein": fft_any,
 }
 
 

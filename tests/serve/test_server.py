@@ -1,5 +1,6 @@
 """FFTServer integration: correctness, policies, metrics, lifecycle."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.core.api import GpuFFT3D
 from repro.gpu.faults import FaultInjector, FaultSpec
+from repro.jit import cc
 from repro.obs.profiler import Profiler
 from repro.serve import (
     AdmissionPolicy,
@@ -20,6 +22,15 @@ from repro.serve import (
     QueueFullError,
     ServerClosedError,
     TenantQuotaError,
+)
+from repro.serve.chaos import reference_digests
+
+BACKENDS = (
+    "numpy",
+    pytest.param(
+        "cjit",
+        marks=pytest.mark.skipif(not cc.available(), reason="no C compiler on PATH"),
+    ),
 )
 
 
@@ -497,6 +508,44 @@ class TestResilientDispatch:
             fut = srv.submit(FFTRequest(_cubes(rng, 16, 1)[0]))
             srv.run_pending()
             assert fut.exception() is None and fut.worker == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_worker_ejected_runs_on_the_host_with_fault_free_bits(
+        self, rng, backend
+    ):
+        # With no card admissible every batch runs in "host" mode: the
+        # engine's own plan on the host, so the bytes are the fault-free
+        # reference's even though each result is marked faulted.
+        kinds = [(n, inv) for n in ("backward", "ortho", "forward") for inv in (0, 1)]
+        xs = _cubes(rng, 16, 6) + _cubes(rng, 16, 6, shape=(32, 16, 16))
+        reqs = [
+            FFTRequest(x, norm=n, inverse=bool(inv))
+            for x, (n, inv) in zip(xs, kinds * 2)
+        ]
+        with FFTServer(
+            start=False,
+            n_workers=2,
+            serial_dispatch=True,
+            backend=backend,
+            health=HealthPolicy(cooldown_dispatches=100),  # no probe re-admits
+            coalesce=CoalescePolicy(max_batch=4, max_wait_s=0.0),
+        ) as srv:
+            for wid in range(2):
+                srv.eject_worker(wid, reason="test")
+            futs = [srv.submit(r) for r in reqs]
+            srv.run_pending()
+            forced = sum(
+                w["forced_host_batches"] for w in srv.health.snapshot().values()
+            )
+            downgrades = srv.resilience_report().downgrades
+        assert forced > 0
+        assert set(downgrades) == {"host-fallback: forced"}
+        assert all(f.faulted for f in futs)
+        digests = [
+            hashlib.sha256(np.ascontiguousarray(f.result()).tobytes()).hexdigest()
+            for f in futs
+        ]
+        assert digests == reference_digests(reqs)
 
 
 class TestDrainAndClose:
