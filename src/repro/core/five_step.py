@@ -358,10 +358,6 @@ class FiveStepPlan:
         x = as_complex_array(x, self.precision)
         if x.shape != self.shape:
             raise ValueError(f"plan is for shape {self.shape}, got {x.shape}")
-        nz, ny, nx = self.shape
-        wz = self._cache.four_step(self.rz1, self.rz2, self.precision)
-        wy = self._cache.four_step(self.ry1, self.ry2, self.precision)
-
         if out is not None and not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         if out is not None and (out.shape != self.shape or out.dtype != x.dtype):
@@ -372,7 +368,9 @@ class FiveStepPlan:
             self.ensure_compiled()
         if self._compiled is not None:
             return self._execute_compiled(x, inverse, workspace, out, scale)
-        state = x.reshape(self.rz2, self.rz1, self.ry2, self.ry1, nx)
+        wz = self._cache.four_step(self.rz1, self.rz2, self.precision)
+        wy = self._cache.four_step(self.ry1, self.ry2, self.precision)
+        state = x.reshape(self.rz2, self.rz1, self.ry2, self.ry1, self.shape[2])
         if workspace is None:
             state = multirow_half1(state, wz, inverse)  # step 1
             state = multirow_half2(state, inverse)      # step 2

@@ -492,6 +492,12 @@ class ResilientEngine:
         self._plan = PLAN_CACHE.five_step(
             self.shape, self.precision, self.device, backend=backend
         )
+        # The plan's kernel specs, held for the engine's life: every
+        # transform launches these same five objects, so the simulator
+        # prices each once (DeviceSimulator._price).
+        self._specs = PLAN_CACHE.step_specs(
+            self.shape, self.precision, self.device, backend=backend
+        )
         self._buf = name
         self.profiler = profiler
         if profiler is not None:
@@ -679,13 +685,10 @@ class ResilientEngine:
         wall = self._plan.ensure_compiled()
         if wall:
             self.simulator.charge(f"{self._buf}-jit.compile", wall, "host")
-        specs = PLAN_CACHE.step_specs(
-            self.shape, self.precision, self.device, backend=self._plan.backend
-        )
-        for spec in specs[:-1]:
+        for spec in self._specs[:-1]:
             self._executor.launch(spec, stream=stream)
         self._executor.launch(
-            specs[-1],
+            self._specs[-1],
             self._plan.execute,
             src,
             inverse,

@@ -10,6 +10,7 @@ and the memory access patterns as :class:`BurstPattern` streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.gpu.access import BurstPattern
 from repro.gpu.isa import InstructionMix
@@ -71,11 +72,12 @@ class KernelSpec:
     def texture_bytes(self) -> int:
         return sum(m.total_bytes for m in self.memory if m.via_texture)
 
-    @property
+    # Summed once: the simulator records both on every launch.
+    @cached_property
     def total_bytes(self) -> int:
         return self.global_bytes + self.texture_bytes
 
-    @property
+    @cached_property
     def total_flops(self) -> float:
         return self.mix.flops * self.work_items
 

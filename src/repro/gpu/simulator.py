@@ -158,6 +158,9 @@ class DeviceSimulator:
     #: failure aborts it (the DMA engine stops partway through).
     FAIL_FRACTION = 0.5
 
+    #: Most kernel specs whose price :meth:`_price` keeps at once.
+    MAX_PRICES = 1024
+
     def __init__(self, device: DeviceSpec, fault_injector: FaultInjector | None = None):
         self.device = device
         self.memsystem = MemorySystem(device)
@@ -177,6 +180,8 @@ class DeviceSimulator:
         #: Observability: record hooks + the current annotation context.
         self._record_hooks: list[RecordHook] = []
         self._annotations: dict[str, object] = {}
+        #: ``id(spec) -> (spec, seconds)`` for every spec launched so far.
+        self._prices: dict[int, tuple[KernelSpec, float]] = {}
 
     # ------------------------------------------------------------------
     # Device health
@@ -523,6 +528,25 @@ class DeviceSimulator:
             victim = self.faults.choose(sorted(self._arrays))
             self.faults.corrupt(self._arrays[victim].data)
 
+    def _price(self, spec: KernelSpec) -> float:
+        """``spec``'s seconds on this device: :func:`time_kernel` once, a
+        replay after.
+
+        :func:`time_kernel` is a pure function of (device, spec), so the
+        replay is exact.  Keyed by identity (an ``id`` lookup is ~10x
+        cheaper than hashing the nested spec); the entry holds the spec,
+        so its id is not reused while it lives.  Past :attr:`MAX_PRICES`
+        the oldest entry goes.
+        """
+        entry = self._prices.get(id(spec))
+        if entry is not None:
+            return entry[1]
+        seconds = time_kernel(self.device, spec, self.memsystem).seconds
+        if len(self._prices) >= self.MAX_PRICES:
+            del self._prices[next(iter(self._prices))]
+        self._prices[id(spec)] = (spec, seconds)
+        return seconds
+
     def _kernel(
         self,
         label: str,
@@ -535,7 +559,7 @@ class DeviceSimulator:
     ) -> float:
         """Run one kernel on the compute engine; returns its seconds.
 
-        A ``spec`` is timed by :func:`time_kernel` (after the fault check)
+        A ``spec`` is priced by :meth:`_price` (after the fault check)
         and charges its bytes and flops; without one the charge is the
         given ``seconds``.
         """
@@ -543,7 +567,7 @@ class DeviceSimulator:
         self._check_alive()
         fault = self._launch_fault(label, start, stream)
         if spec is not None:
-            seconds = time_kernel(self.device, spec, self.memsystem).seconds
+            seconds = self._price(spec)
         if body is not None:
             body(*args, **kwargs)
         if fault == "ecc-bitflip":

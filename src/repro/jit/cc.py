@@ -17,7 +17,10 @@ This module turns the emitted kernel source
    (``$REPRO_JIT_CACHE`` or a per-user tmp directory), so later
    processes just ``dlopen`` — warm-up cost is paid once per machine,
    not once per process.
-3. **Bind** via :mod:`ctypes` with ``ndpointer`` signatures.  ``ctypes``
+3. **Bind** via :mod:`ctypes`, arrays as bare ``c_void_p`` addresses:
+   converting an address costs a fraction of an ``ndpointer`` check, so
+   the caller validates each array once and passes its address
+   (:meth:`repro.jit.compiled.CompiledFiveStep.run`).  ``ctypes``
    releases the GIL for the duration of every call, which is what gives
    ``FFTServer(n_workers>1)`` real parallel compute on the compiled path.
 
@@ -219,9 +222,8 @@ def _probe_library() -> ctypes.CDLL | None:
             return _probe_lib
     try:
         lib = _build(_PROBE_SRC, "probe")
-        for name, rdt in (("probe_f", np.float32), ("probe_d", np.float64)):
-            ptr = np.ctypeslib.ndpointer(rdt, flags="C_CONTIGUOUS")
-            getattr(lib, name).argtypes = [ptr, ptr, ptr, ptr, ctypes.c_long]
+        for name in ("probe_f", "probe_d"):
+            getattr(lib, name).argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long]
             getattr(lib, name).restype = None
     except Exception:
         lib = None
@@ -263,7 +265,10 @@ def cmul_modes() -> dict[str, str]:
         ref = (a * b).view(rdt)
         fma_out = np.empty(2 * n, rdt)
         naive_out = np.empty(2 * n, rdt)
-        getattr(lib, fn)(a.view(rdt), b.view(rdt), fma_out, naive_out, n)
+        getattr(lib, fn)(
+            a.ctypes.data, b.ctypes.data, fma_out.ctypes.data,
+            naive_out.ctypes.data, n,
+        )
         if np.array_equal(fma_out, ref):
             modes[key] = "fma"
         elif np.array_equal(naive_out, ref):
@@ -284,14 +289,16 @@ class CJitLibrary:
 
     ``kernels`` holds one dict per kernel family —
     ``kernels["multirow_a"][radix]``, ``kernels["multirow_b"][radix]``,
-    ``kernels["step5"][nx]``.
+    ``kernels["step5"][nx]``.  Array arguments are ``c_void_p``
+    addresses of C-contiguous ``real_dtype`` data; the caller checks the
+    arrays behind them.
     """
 
     def __init__(self, lib: ctypes.CDLL, real_dtype):
         self._lib = lib
         ctype = _ctype(real_dtype)
         suffix = ctype[0]
-        ptr = np.ctypeslib.ndpointer(real_dtype, flags="C_CONTIGUOUS")
+        ptr = ctypes.c_void_p
         scalar = ctypes.c_float if ctype == "float" else ctypes.c_double
         mr_a: dict[int, object] = {}
         mr_b: dict[int, object] = {}

@@ -94,24 +94,59 @@ class CompiledFiveStep:
         cache = twiddles or DEFAULT_CACHE
         self.shape = shape
         self.precision = precision
-        self._radices = (rz2, rz1, ry2, ry1)  # (a, b, c, d)
-        self._nx = shape[2]
+        a, b, c, d = rz2, rz1, ry2, ry1
+        nx = shape[2]
         cdt = np.dtype(np.complex64 if precision == "single" else np.complex128)
-        self._rdtype = np.dtype(np.float32 if precision == "single" else np.float64)
-        rdt = self._rdtype
-        self._kernels = kernels
+        rdt = np.dtype(np.float32 if precision == "single" else np.float64)
+        self._cdtype = cdt
+        self._size = a * b * c * d * nx
         # Forward tables only — sgn handles the inverse (module docstring).
-        self._wz = _fview(cache.four_step(rz1, rz2, precision), rdt)
-        self._wy = _fview(cache.four_step(ry1, ry2, precision), rdt)
-        r1, r2 = emit.step5_split(self._nx)
+        wz = _fview(cache.four_step(rz1, rz2, precision), rdt)
+        wy = _fview(cache.four_step(ry1, ry2, precision), rdt)
+        r1, r2 = emit.step5_split(nx)
         if r2 == 1:
-            self._w5 = np.zeros(2, rdt)  # unused by the direct-16 kernel
+            w5 = np.zeros(2, rdt)  # unused by the direct-16 kernel
         else:
-            self._w5 = _fview(cache.four_step_cast(r1, r2, cdt), rdt)
-        self._ctab = _fview(
+            w5 = _fview(cache.four_step_cast(r1, r2, cdt), rdt)
+        ctab = _fview(
             np.concatenate([cache.codelet8(cdt), cache.half(16, cdt)]), rdt
         )
-        self._sgn = {False: rdt.type(1.0), True: rdt.type(-1.0)}
+        # The kernels take bare addresses: keep the tables alive with them.
+        self._tables = (wz, wy, w5, ctab)
+        self._wz, self._wy, self._w5, self._ctab = (
+            t.ctypes.data for t in self._tables
+        )
+        mr_a, mr_b = kernels["multirow_a"], kernels["multirow_b"]
+        self._calls = (mr_a[a], mr_b[b], mr_a[c], mr_b[d], kernels["step5"][nx])
+        self._radices = (a, b, c, d)
+        self._nx = nx
+        self._scalar = rdt.type
+
+    def _address(self, arr, name: str, write: bool) -> int:
+        """The data address of ``arr`` once it is an array the kernels can
+        take: the plan's complex dtype and size, C-contiguous, and
+        writeable when ``write``.  Raises ``ValueError`` otherwise."""
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == self._cdtype
+            and arr.size == self._size
+        ):
+            got = (
+                f"{arr.dtype} {arr.shape}"
+                if isinstance(arr, np.ndarray)
+                else type(arr).__name__
+            )
+            raise ValueError(
+                f"{name} must be {self._cdtype} with the plan's {self._size} "
+                f"points {self.shape}, got {got}"
+            )
+        iface = arr.__array_interface__
+        if iface["strides"] is not None:  # None means C-contiguous
+            raise ValueError(f"{name} must be C-contiguous")
+        address, readonly = iface["data"]
+        if write and readonly:
+            raise ValueError(f"{name} must be writeable")
+        return address
 
     def run(
         self,
@@ -126,26 +161,26 @@ class CompiledFiveStep:
 
         ``work`` is a caller-owned scratch array of the plan's shape and
         dtype (from the plan's workspace arena on the pooled path); its
-        contents are clobbered.  ``scale`` (a normalization factor) is
-        applied by step 5 to each chunk of finished lines while it is
-        still in cache; a scale that is exactly 1 in the plan's precision
-        is skipped.  ``threads`` host cores share each kernel's outer
-        loops: a count, or a function read before each of the five
-        kernels (the share :func:`repro.jit.core_budget` yields).
+        contents are clobbered.  All three must be C-contiguous arrays of
+        the plan's complex dtype and size (``out`` and ``work``
+        writeable), or ``ValueError`` is raised before any kernel runs.
+        ``scale`` (a normalization factor) is applied by step 5 to each
+        chunk of finished lines while it is still in cache; a scale that
+        is exactly 1 in the plan's precision is skipped.  ``threads``
+        host cores share each kernel's outer loops: a count, or a
+        function read before each of the five kernels (the share
+        :func:`repro.jit.core_budget` yields).
         """
-        rdt = self._rdtype
+        px = self._address(x, "x", write=False)
+        po = self._address(out, "out", write=True)
+        pw = self._address(work, "work", write=True)
         a, b, c, d = self._radices
-        nx = self._nx
-        sgn = self._sgn[bool(inverse)]
-        xf = x.reshape(-1).view(rdt)
-        wf = work.reshape(-1).view(rdt)
-        of = out.reshape(-1).view(rdt)
-        mr_a = self._kernels["multirow_a"]
-        mr_b = self._kernels["multirow_b"]
-        s5 = self._kernels["step5"][nx]
+        nx, ctab = self._nx, self._ctab
+        sgn = -1.0 if inverse else 1.0
         t = threads if callable(threads) else lambda: threads
-        mr_a[a](xf, wf, self._wz, self._ctab, b, c, d, nx, sgn, t())
-        mr_b[b](wf, of, self._ctab, c, d, a, nx, sgn, t())
-        mr_a[c](of, wf, self._wy, self._ctab, d, b, a, nx, sgn, t())
-        mr_b[d](wf, of, self._ctab, b, a, c, nx, sgn, t())
-        s5(of, self._w5, self._ctab, a * b * c * d, sgn, rdt.type(scale), t())
+        mr_a1, mr_b1, mr_a2, mr_b2, s5 = self._calls
+        mr_a1(px, pw, self._wz, ctab, b, c, d, nx, sgn, t())
+        mr_b1(pw, po, ctab, c, d, a, nx, sgn, t())
+        mr_a2(po, pw, self._wy, ctab, d, b, a, nx, sgn, t())
+        mr_b2(pw, po, ctab, b, a, c, nx, sgn, t())
+        s5(po, self._w5, ctab, a * b * c * d, sgn, self._scalar(scale), t())

@@ -15,6 +15,13 @@ Routes (all JSON/:mod:`repro.serve.wire` bodies; results are raw
     GET  /v1/jobs/{id}/result  download      -> 200 result stream
     GET  /v1/health            liveness      -> 200 / 503
 
+A job submitted through ``/v1/fft/wait`` leaves the registry as soon as
+its terminal response (the 200 result, or its failure) is built: that
+response already carries the outcome, so its id answers 404 afterwards.
+Only a wait that times out (504) keeps its job, which stays pollable
+under the echoed ``X-FFT-Job`` id.  The registry therefore holds only
+jobs a client may still poll, not every result the gateway has served.
+
 Design points, in the idiom of typed-route ASGI frameworks (lihil):
 
 * **Typed endpoints.**  Handlers take a :class:`GatewayRequest` whose
@@ -112,7 +119,9 @@ class GatewayPolicy:
         The back-off hint stamped on every shed/pressure response.
     ``max_jobs``
         Completed-job retention: the oldest *resolved* jobs are evicted
-        past this bound, after which their ids answer 404.
+        past this bound, after which their ids answer 404.  (A job
+        answered by ``/v1/fft/wait`` is dropped at once; see the module
+        docstring.)
     ``wait_timeout_s``
         Ceiling on ``POST /v1/fft/wait``; a job still unresolved then
         answers 504 ``deadline_expired`` (and keeps running — its id
@@ -518,6 +527,9 @@ class Gateway:
             )
             resp.headers.append(("x-fft-job", job.job_id))
             return resp
+        # The response carries the outcome: nothing is left to poll.
+        with self._jobs_lock:
+            self._jobs.pop(job.job_id, None)
         return self._result_response(job)
 
     async def _status(self, req: GatewayRequest) -> Response:

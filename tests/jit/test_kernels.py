@@ -282,3 +282,83 @@ class TestStatelessness:
         work = np.empty_like(buf)
         compiled.run(buf, buf, work)  # in place, as the batched engine does
         assert np.array_equal(buf, ref)
+
+
+def _recording_compiled(shape, calls):
+    """A CompiledFiveStep for ``shape`` whose kernels only record calls."""
+    kernel = lambda *args: calls.append(args)  # noqa: E731
+    kernels = {
+        "multirow_a": dict.fromkeys(emit.CODELET_RADICES, kernel),
+        "multirow_b": dict.fromkeys(emit.CODELET_RADICES, kernel),
+        "step5": dict.fromkeys(emit.STEP5_SIZES, kernel),
+    }
+    return jit.CompiledFiveStep(
+        shape, "single", *split_axis(shape[0]), *split_axis(shape[1]), kernels
+    )
+
+
+def _wrong(kind: str, shape) -> np.ndarray:
+    """An array ``run`` must refuse: wrong dtype, strided view or size."""
+    if kind == "dtype":
+        return np.zeros(shape, np.complex128)
+    if kind == "strided":
+        return np.zeros((shape[0], shape[1], 2 * shape[2]), np.complex64)[..., ::2]
+    return np.zeros((shape[0], shape[1], shape[2] // 2), np.complex64)
+
+
+class TestRunChecksItsArguments:
+    """The kernels take bare addresses, so ``run`` itself refuses every
+    array an ``ndpointer`` signature refused (and a wrong size), before
+    any kernel runs."""
+
+    SHAPE = (4, 4, 16)
+
+    @pytest.mark.parametrize("kind", ["dtype", "strided", "size"])
+    @pytest.mark.parametrize("arg", ["x", "out", "work"])
+    def test_bad_array_raises_before_any_kernel(self, arg, kind):
+        calls = []
+        compiled = _recording_compiled(self.SHAPE, calls)
+        arrays = {name: np.zeros(self.SHAPE, np.complex64) for name in ("x", "out", "work")}
+        arrays[arg] = _wrong(kind, self.SHAPE)
+        with pytest.raises(ValueError, match=arg):
+            compiled.run(arrays["x"], arrays["out"], arrays["work"])
+        assert calls == []
+
+    @pytest.mark.parametrize("arg", ["out", "work"])
+    def test_read_only_destination_raises(self, arg):
+        calls = []
+        compiled = _recording_compiled(self.SHAPE, calls)
+        arrays = {name: np.zeros(self.SHAPE, np.complex64) for name in ("x", "out", "work")}
+        arrays[arg].flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            compiled.run(arrays["x"], arrays["out"], arrays["work"])
+        assert calls == []
+
+    def test_good_arrays_pass_their_addresses(self):
+        calls = []
+        compiled = _recording_compiled(self.SHAPE, calls)
+        x = np.zeros(self.SHAPE, np.complex64)
+        x.flags.writeable = False  # the input is only read
+        out, work = np.zeros_like(x), np.zeros_like(x)
+        compiled.run(x, out, work)
+        px, po, pw = (a.__array_interface__["data"][0] for a in (x, out, work))
+        assert [c[:2] for c in calls] == [
+            (px, pw), (pw, po), (po, pw), (pw, po), (po, compiled._w5)
+        ]
+
+    @pytest.mark.skipif(not cc.available(), reason="no C compiler on PATH")
+    def test_run_makes_no_ndpointer_conversions(self, monkeypatch):
+        conversions = []
+        original = np.ctypeslib._ndptr.from_param.__func__
+
+        def counting(cls, obj):
+            conversions.append(obj)
+            return original(cls, obj)
+
+        monkeypatch.setattr(np.ctypeslib._ndptr, "from_param", classmethod(counting))
+        compiled = _compiled(self.SHAPE, "single")
+        x = np.ones(self.SHAPE, np.complex64)
+        out = np.empty_like(x)
+        compiled.run(x, out, np.empty_like(x))
+        assert conversions == []
+        assert np.allclose(out, np.fft.fftn(x))

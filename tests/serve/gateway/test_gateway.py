@@ -182,6 +182,17 @@ class TestRetention:
         for job_id in ids:
             assert http(gw, "GET", f"/v1/jobs/{job_id}").status == 200
 
+    def test_answered_waits_leave_the_registry(self, live_gateway):
+        # Each 200 carries its result, so no waited job stays registered
+        # (the registry would otherwise grow with every request served).
+        raw, _ = submit_bytes()
+        for _ in range(6):
+            resp = http(live_gateway, "POST", "/v1/fft/wait", TENANT, raw)
+            assert resp.status == 200
+        assert len(live_gateway._jobs) == 0
+        job_id = resp.header("x-fft-job")
+        assert http(live_gateway, "GET", f"/v1/jobs/{job_id}").status == 404
+
 
 class TestObservability:
     def test_gateway_metrics_family(self, sync_server, sync_gateway):
