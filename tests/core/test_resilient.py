@@ -1,5 +1,7 @@
 """Tests for the resilient execution layer (retries, checksums, checkpoints)."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ from repro.gpu.faults import (
 )
 from repro.gpu.simulator import DeviceSimulator
 from repro.gpu.specs import GEFORCE_8800_GT, GEFORCE_8800_GTX
+from repro.jit import cc
+
+needs_compiler = pytest.mark.skipif(
+    not cc.available(), reason="no C compiler on PATH"
+)
 
 
 class TestRetryPolicy:
@@ -74,6 +81,87 @@ class TestChecksumAndEnergy:
         e_in = float(np.vdot(x, x).real)
         e_out = float(np.vdot(y, y).real)
         assert not energy_preserved(e_in, e_out, 1024.0)
+
+
+#: Every length 0-300 (all tails and fold entry points), a 32 KiB and an
+#: odd 64 KiB payload, each at aligned and misaligned starts.
+CRC_LENGTHS = [*range(301), 32 << 10, (64 << 10) + 5]
+CRC_OFFSETS = (0, 1, 7)
+
+
+def _crc_buffer() -> np.ndarray:
+    return np.random.default_rng(20081115).integers(
+        0, 256, (64 << 10) + 16, dtype=np.uint8
+    )
+
+
+class TestChecksumMatchesZlib:
+    """``checksum`` is ``zlib.crc32`` bit for bit, on every path."""
+
+    def test_every_length_and_offset(self):
+        buf = _crc_buffer()
+        for off in CRC_OFFSETS:
+            for n in CRC_LENGTHS:
+                a = buf[off : off + n]
+                assert checksum(a) == zlib.crc32(a.tobytes()), (off, n)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_grids_and_non_contiguous_views(self, rng, dtype):
+        x = (
+            rng.standard_normal((16, 12, 10)) + 1j * rng.standard_normal((16, 12, 10))
+        ).astype(dtype)
+        for a in (x, x[::2], x.transpose(2, 0, 1), x[:, 1:7, ::3], x[3]):
+            expected = zlib.crc32(np.ascontiguousarray(a).tobytes())
+            assert checksum(a) == expected
+
+    def test_no_compiler_path_gives_the_same_values(self, monkeypatch, rng):
+        buf = _crc_buffer()
+        x = rng.standard_normal((8, 8, 8)).astype(np.complex64)
+        cases = [buf[1:300], buf[7 : 7 + (32 << 10)], x, x[:, ::2]]
+        shipped = [checksum(a) for a in cases]
+        monkeypatch.setattr(cc, "support", lambda: None)
+        assert [checksum(a) for a in cases] == shipped
+
+    @needs_compiler
+    def test_compiled_crc_chains_like_zlib(self):
+        unit = cc.support()
+        if not unit.crc32_folds:
+            pytest.skip("support unit built without PCLMULQDQ")
+        buf = _crc_buffer()
+        for off in CRC_OFFSETS:
+            for n in (0, 15, 64, 100, 4096 + 3):
+                a = buf[off : off + n]
+                for start in (1, 0xDEADBEEF, 0xFFFFFFFF):
+                    got = unit.crc32(a, start)
+                    assert got == zlib.crc32(a.tobytes(), start), (off, n, start)
+
+    @needs_compiler
+    def test_compiled_crc_refuses_non_contiguous_arrays(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            cc.support().crc32(np.zeros(64, np.complex64)[::2])
+
+    @needs_compiler
+    def test_byte_table_build_matches_zlib(self, monkeypatch, tmp_path):
+        """Built without host tuning (no ``__PCLMUL__``), ``repro_crc32``
+        runs on its byte table alone, and ``checksum`` keeps to zlib."""
+        import subprocess
+
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        real_run = subprocess.run
+
+        def untuned(cmd, **kwargs):
+            if any(f in cmd for f in cc.TUNING_FLAGS):
+                return subprocess.CompletedProcess(cmd, 1, "", "rejected")
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(cc.subprocess, "run", untuned)
+        unit = cc.SupportUnit(cc._build(cc._SUPPORT_SRC, "support"))
+        assert not unit.crc32_folds
+        buf = _crc_buffer()
+        for off in CRC_OFFSETS:
+            for n in CRC_LENGTHS:
+                a = buf[off : off + n]
+                assert unit.crc32(a) == zlib.crc32(a.tobytes()), (off, n)
 
 
 class TestResilientExecutor:

@@ -240,6 +240,16 @@ class TestGatewayMintedCodes:
             ErrorCode.PAYLOAD_TOO_LARGE,
         )
 
+    @covers(ErrorCode.PAYLOAD_TOO_LARGE)
+    def test_overflowing_declared_shape_is_413_not_500(self, sync_gateway):
+        # 2**120 points wrap to 0 bytes in int64 arithmetic, which would
+        # pass the bound and fail later as an untyped 500 `internal`.
+        bad = json.dumps({"shape": [2**40] * 3, "data_b64": ""}).encode()
+        assert_error(
+            http(sync_gateway, "POST", "/v1/fft", TENANT, bad),
+            ErrorCode.PAYLOAD_TOO_LARGE,
+        )
+
     @covers(ErrorCode.UNAUTHENTICATED)
     def test_missing_identity_is_401(self, sync_gateway):
         raw, _ = submit_bytes()
